@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the substrate operations that
 // dominate experiment wall-clock, plus the DESIGN.md ablations:
-//   - GEMM / im2col / convolution forward+backward throughput
+//   - GEMM / im2col / col2im / convolution forward+backward / batch-norm
+//     throughput
 //   - masked-vs-dense cost (the masks-not-surgery design decision)
 //   - pruning-score computation per method (sensitivity ablation)
 //   - corruption throughput per family
@@ -301,6 +302,19 @@ void BM_Im2col(benchmark::State& state) {
 }
 BENCHMARK(BM_Im2col);
 
+void BM_Col2im(benchmark::State& state) {
+  ConvGeom g{16, 16, 16, 3, 1, 1};
+  Rng rng(2);
+  Tensor cols = Tensor::randn(Shape{g.patch(), g.out_h() * g.out_w()}, rng);
+  Tensor img;
+  for (auto _ : state) {
+    col2im(cols, g, img);
+    benchmark::DoNotOptimize(img.data().data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_Col2im);
+
 void BM_ConvForward(benchmark::State& state) {
   Rng rng(3);
   nn::Conv2d conv("c", 8, 16, 3, 1, 1, 16, 16, false, rng);
@@ -324,6 +338,23 @@ void BM_ConvBackward(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ConvBackward);
+
+/// One train-mode BatchNorm2d forward + backward at resnet8's first-stage
+/// activation shape (64 x 8 x 16 x 16).
+void BM_BatchNormTrain(benchmark::State& state) {
+  Rng rng(5);
+  nn::BatchNorm2d bn("bn", 8);
+  Tensor x = Tensor::randn(Shape{64, 8, 16, 16}, rng);
+  Tensor dy = Tensor::randn(x.shape(), rng);
+  for (auto _ : state) {
+    Tensor y = bn.forward(x, /*train=*/true);
+    Tensor dx = bn.backward(dy);
+    benchmark::DoNotOptimize(y.data().data());
+    benchmark::DoNotOptimize(dx.data().data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_BatchNormTrain)->UseRealTime();
 
 /// Ablation (DESIGN.md "masks, not surgery"): a forward pass at 90% sparsity
 /// costs the same as dense under the mask representation — the FLOP model,

@@ -74,10 +74,11 @@ serve::FamilySpec family_spec(exp::ArtifactCache& cache, int variant_count) {
 }
 
 /// One load-generation run: kClients closed-loop clients, each submitting
-/// kBurst-ticket bursts (retrying rejects) and waiting the burst out, for
-/// kBursts rounds per benchmark iteration. Per-request latency is
-/// submit-to-response wall time — exactly what a caller of infer() sees,
-/// including the batching window and any admission-control retries.
+/// kBurst-ticket bursts (on a reject, answering the tickets it already holds
+/// and retrying) and waiting the burst out, for kBursts rounds per benchmark
+/// iteration. Per-request latency is submit-to-response wall time — exactly
+/// what a caller of infer() sees, including the batching window and any
+/// admission-control retries.
 void BM_ServeLoad(benchmark::State& state) {
   const int64_t wait_us = state.range(0);
   const int queue_depth = static_cast<int>(state.range(1));
@@ -100,7 +101,7 @@ void BM_ServeLoad(benchmark::State& state) {
   // Third tag stays unregistered: "unknown" falls back to the dense parent.
 
   serve::EngineConfig cfg;
-  cfg.max_batch = 16;
+  cfg.max_batch = std::min(16, queue_depth);  // a batch never exceeds the slot table
   cfg.queue_depth = queue_depth;
   cfg.max_wait_us = wait_us;
   serve::Engine engine(registry, router, cfg);
@@ -127,7 +128,18 @@ void BM_ServeLoad(benchmark::State& state) {
         Tensor logits;
         std::vector<serve::Engine::Ticket> tickets(kBurst);
         std::vector<std::chrono::steady_clock::time_point> sent(kBurst);
+        int waited = 0;  // tickets of the current burst already answered
+        const auto wait_upto = [&](int upto) {
+          for (; waited < upto; ++waited) {
+            engine.wait_into(tickets[static_cast<size_t>(waited)], &logits);
+            const auto done = std::chrono::steady_clock::now();  // rp-lint: allow(R1) see above
+            lat[c].push_back(std::chrono::duration<double, std::micro>(
+                                 done - sent[static_cast<size_t>(waited)])
+                                 .count());
+          }
+        };
         for (int b = 0; b < kBursts; ++b) {
+          waited = 0;
           for (int i = 0; i < kBurst; ++i) {
             const char* tag = kTags[(c + i) % 3];
             sent[static_cast<size_t>(i)] = std::chrono::steady_clock::now();  // rp-lint: allow(R1) request latency is the bench's output
@@ -137,19 +149,16 @@ void BM_ServeLoad(benchmark::State& state) {
                 tickets[static_cast<size_t>(i)] = *t;
                 break;
               }
-              // Rejected: a slot frees only after some client's wait_into, so
-              // spinning here would starve the dispatcher (and everyone else)
-              // on small machines — yield instead of hammering the lock.
+              // Rejected: a slot frees only after some client's wait_into.
+              // Holding part of a burst while retrying deadlocks once every
+              // client holds a few slots and needs more, so answer the
+              // tickets this client holds first; then yield instead of
+              // hammering the lock, which would starve the dispatcher.
+              wait_upto(i);
               std::this_thread::yield();  // rp-lint: allow(R2) load-generator backoff
             }
           }
-          for (int i = 0; i < kBurst; ++i) {
-            engine.wait_into(tickets[static_cast<size_t>(i)], &logits);
-            const auto done = std::chrono::steady_clock::now();  // rp-lint: allow(R1) see above
-            lat[c].push_back(
-                std::chrono::duration<double, std::micro>(done - sent[static_cast<size_t>(i)])
-                    .count());
-          }
+          wait_upto(kBurst);
         }
       });
     }

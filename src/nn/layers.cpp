@@ -1,5 +1,6 @@
 #include "nn/layers.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
@@ -17,6 +18,23 @@ void check_4d(const Tensor& x, const char* who) {
     throw std::invalid_argument(std::string(who) + ": expected [N, C, H, W], got " +
                                 x.shape().to_string());
   }
+}
+
+/// Samples per chunk of the per-sample conv loops: about four chunks per
+/// lane, so each chunk builds its zero-filled scratch set once and reuses it
+/// across its samples. Per-sample results never depend on the chunking.
+int64_t per_lane_grain(int64_t n) {
+  return std::max<int64_t>(1, n / (4 * static_cast<int64_t>(parallel::num_threads())));
+}
+
+/// Elements a BatchNorm chunk should cover before it is worth a pool task.
+/// Below it the channels run inline, which keeps the small eval batches of
+/// the serving path (<= 16 samples) from paying a pool wake per layer.
+constexpr int64_t kBnChunkElems = int64_t{1} << 15;
+
+/// Channels per BatchNorm chunk for `per_channel` elements in each channel.
+int64_t bn_grain(int64_t per_channel) {
+  return std::max<int64_t>(1, kBnChunkElems / std::max<int64_t>(1, per_channel));
 }
 
 /// Kaiming-normal fan-in init, the standard for ReLU networks.
@@ -65,12 +83,11 @@ Tensor Conv2d::forward(const Tensor& x, bool /*train*/) {
   float* yd = y.data().data();
 
   // Samples are independent (each writes its own output plane), so the
-  // im2col+GEMM loop is parallel over samples. Every lane owns one set of
+  // im2col+GEMM loop is parallel over samples. Every chunk owns one set of
   // scratch tensors (pool-backed off the arena thread, arena-backed on it) —
   // nested parallel loops run inline, so a lane never shares these with
   // another forward in flight.
-  // rp-lint: allow(R7) per-sample loop: each iteration is an im2col + GEMM
-  parallel::parallel_for(0, n, 1, [&](int64_t i0, int64_t i1) {
+  parallel::parallel_for(0, n, per_lane_grain(n), [&](int64_t i0, int64_t i1) {
     Tensor x_n = Tensor::scratch(Shape{geom_.in_c, geom_.in_h, geom_.in_w});
     Tensor cols = Tensor::scratch(Shape{geom_.patch(), oplane});
     Tensor y_n = Tensor::scratch(Shape{out_c_, oplane});
@@ -129,14 +146,15 @@ Tensor Conv2d::backward(const Tensor& dy) {
   const int64_t n = cached_input_.size(0);
   const int64_t oh = geom_.out_h(), ow = geom_.out_w();
   const int64_t oplane = oh * ow;
-  const int64_t wsize = out_c_ * geom_.patch();
+  const int64_t patch = geom_.patch();
+  const int64_t wsize = out_c_ * patch;
   const int64_t isz = geom_.in_c * geom_.in_h * geom_.in_w;
   const float* xd = cached_input_.data().data();
   const float* dyd = dy.data().data();
   Tensor dx = Tensor::scratch(cached_input_.shape());
 
   // Parallel over samples (same recipe as evaluate()): each sample's dW and
-  // db contribution is computed independently — a beta=0 GEMM into per-lane
+  // db contribution is computed independently — a beta=0 GEMM into per-chunk
   // scratch — and stored at its sample index; the fold into the parameter
   // gradients below runs in fixed sample order. Partial values depend only
   // on the sample, never on chunking, so gradients are bit-identical for any
@@ -146,13 +164,21 @@ Tensor Conv2d::backward(const Tensor& dy) {
   float* dwp = dw_partial.data().data();
   float* dbp = db_partial.data().data();
 
-  // rp-lint: allow(R7) per-sample loop: each iteration is an im2col + two GEMMs
-  parallel::parallel_for(0, n, 1, [&](int64_t i0, int64_t i1) {
+  // Wᵀ once per call, so the per-sample dcols GEMM runs untransposed (gemm's
+  // trans_a path would build this same copy for every sample).
+  Tensor wt = Tensor::scratch(Shape{patch, out_c_});
+  const float* wd = weight_.value.data().data();
+  float* wtd = wt.data().data();
+  for (int64_t o = 0; o < out_c_; ++o) {
+    for (int64_t p = 0; p < patch; ++p) wtd[p * out_c_ + o] = wd[o * patch + p];
+  }
+
+  parallel::parallel_for(0, n, per_lane_grain(n), [&](int64_t i0, int64_t i1) {
     Tensor x_n = Tensor::scratch(Shape{geom_.in_c, geom_.in_h, geom_.in_w});
     Tensor dy_n = Tensor::scratch(Shape{out_c_, oplane});
-    Tensor cols = Tensor::scratch(Shape{geom_.patch(), oplane});
-    Tensor dcols = Tensor::scratch(Shape{geom_.patch(), oplane});
-    Tensor dw_n = Tensor::scratch(Shape{out_c_, geom_.patch()});
+    Tensor cols = Tensor::scratch(Shape{patch, oplane});
+    Tensor dcols = Tensor::scratch(Shape{patch, oplane});
+    Tensor dw_n = Tensor::scratch(Shape{out_c_, patch});
     Tensor dx_n = Tensor::scratch(Shape{geom_.in_c, geom_.in_h, geom_.in_w});
     for (int64_t i = i0; i < i1; ++i) {
       std::memcpy(dy_n.data().data(), dyd + i * out_c_ * oplane,
@@ -166,7 +192,7 @@ Tensor Conv2d::backward(const Tensor& dy) {
                   static_cast<size_t>(wsize) * sizeof(float));
       // dcols = Wᵀ @ dy_n
       // rp-lint: allow(R9) training backward: gradients need the dense weight
-      gemm(weight_.value, dy_n, dcols, /*trans_a=*/true);
+      gemm(wt, dy_n, dcols);
       col2im(dcols, geom_, dx_n);
       dx.set_slice0(i, dx_n);
 
@@ -358,43 +384,48 @@ Tensor BatchNorm2d::forward(const Tensor& x, bool train) {
   float* xh = cached_xhat_.data().data();
   float* yd = y.data().data();
 
-  for (int64_t c = 0; c < c_; ++c) {
-    float m, v;
-    if (train) {
-      double s = 0.0;
-      for (int64_t i = 0; i < n; ++i) {
-        const float* p = xd + (i * c_ + c) * plane;
-        for (int64_t j = 0; j < plane; ++j) s += p[j];
+  // Channels are independent: each owns its statistics, running buffers and
+  // output planes, and sums its elements in the fixed (i, j) order, so the
+  // channel-parallel loop is bit-identical to a serial one.
+  parallel::parallel_for(0, c_, bn_grain(n * plane), [&](int64_t c0, int64_t c1) {
+    for (int64_t c = c0; c < c1; ++c) {
+      float m, v;
+      if (train) {
+        double s = 0.0;
+        for (int64_t i = 0; i < n; ++i) {
+          const float* p = xd + (i * c_ + c) * plane;
+          for (int64_t j = 0; j < plane; ++j) s += p[j];
+        }
+        m = static_cast<float>(s / count);
+        double sv = 0.0;
+        for (int64_t i = 0; i < n; ++i) {
+          const float* p = xd + (i * c_ + c) * plane;
+          for (int64_t j = 0; j < plane; ++j) {
+            const double d = p[j] - m;
+            sv += d * d;
+          }
+        }
+        v = static_cast<float>(sv / count);
+        running_mean_[c] = (1 - momentum_) * running_mean_[c] + momentum_ * m;
+        running_var_[c] = (1 - momentum_) * running_var_[c] + momentum_ * v;
+      } else {
+        m = running_mean_[c];
+        v = running_var_[c];
       }
-      m = static_cast<float>(s / count);
-      double sv = 0.0;
+      const float inv_std = 1.0f / std::sqrt(v + eps_);
+      cached_inv_std_[static_cast<size_t>(c)] = inv_std;
+      const float g = gamma_.value[c], b = beta_.value[c];
       for (int64_t i = 0; i < n; ++i) {
         const float* p = xd + (i * c_ + c) * plane;
+        float* q = xh + (i * c_ + c) * plane;
+        float* o = yd + (i * c_ + c) * plane;
         for (int64_t j = 0; j < plane; ++j) {
-          const double d = p[j] - m;
-          sv += d * d;
+          q[j] = (p[j] - m) * inv_std;
+          o[j] = g * q[j] + b;
         }
       }
-      v = static_cast<float>(sv / count);
-      running_mean_[c] = (1 - momentum_) * running_mean_[c] + momentum_ * m;
-      running_var_[c] = (1 - momentum_) * running_var_[c] + momentum_ * v;
-    } else {
-      m = running_mean_[c];
-      v = running_var_[c];
     }
-    const float inv_std = 1.0f / std::sqrt(v + eps_);
-    cached_inv_std_[static_cast<size_t>(c)] = inv_std;
-    const float g = gamma_.value[c], b = beta_.value[c];
-    for (int64_t i = 0; i < n; ++i) {
-      const float* p = xd + (i * c_ + c) * plane;
-      float* q = xh + (i * c_ + c) * plane;
-      float* o = yd + (i * c_ + c) * plane;
-      for (int64_t j = 0; j < plane; ++j) {
-        q[j] = (p[j] - m) * inv_std;
-        o[j] = g * q[j] + b;
-      }
-    }
-  }
+  });
   return y;
 }
 
@@ -407,32 +438,36 @@ Tensor BatchNorm2d::backward(const Tensor& dy) {
   const float* xh = cached_xhat_.data().data();
   float* dxd = dx.data().data();
 
-  for (int64_t c = 0; c < c_; ++c) {
-    double sum_dy = 0.0, sum_dy_xhat = 0.0;
-    for (int64_t i = 0; i < n; ++i) {
-      const float* d = dyd + (i * c_ + c) * plane;
-      const float* q = xh + (i * c_ + c) * plane;
-      for (int64_t j = 0; j < plane; ++j) {
-        sum_dy += d[j];
-        sum_dy_xhat += static_cast<double>(d[j]) * q[j];
+  // Channel-parallel like forward: γ/β gradients and dx planes are owned by
+  // their channel, and each channel's sums keep their serial (i, j) order.
+  parallel::parallel_for(0, c_, bn_grain(n * plane), [&](int64_t c0, int64_t c1) {
+    for (int64_t c = c0; c < c1; ++c) {
+      double sum_dy = 0.0, sum_dy_xhat = 0.0;
+      for (int64_t i = 0; i < n; ++i) {
+        const float* d = dyd + (i * c_ + c) * plane;
+        const float* q = xh + (i * c_ + c) * plane;
+        for (int64_t j = 0; j < plane; ++j) {
+          sum_dy += d[j];
+          sum_dy_xhat += static_cast<double>(d[j]) * q[j];
+        }
       }
-    }
-    gamma_.grad[c] += static_cast<float>(sum_dy_xhat);
-    beta_.grad[c] += static_cast<float>(sum_dy);
+      gamma_.grad[c] += static_cast<float>(sum_dy_xhat);
+      beta_.grad[c] += static_cast<float>(sum_dy);
 
-    const float g = gamma_.value[c];
-    const float inv_std = cached_inv_std_[static_cast<size_t>(c)];
-    const float mean_dy = static_cast<float>(sum_dy) / count;
-    const float mean_dy_xhat = static_cast<float>(sum_dy_xhat) / count;
-    for (int64_t i = 0; i < n; ++i) {
-      const float* d = dyd + (i * c_ + c) * plane;
-      const float* q = xh + (i * c_ + c) * plane;
-      float* o = dxd + (i * c_ + c) * plane;
-      for (int64_t j = 0; j < plane; ++j) {
-        o[j] = g * inv_std * (d[j] - mean_dy - q[j] * mean_dy_xhat);
+      const float g = gamma_.value[c];
+      const float inv_std = cached_inv_std_[static_cast<size_t>(c)];
+      const float mean_dy = static_cast<float>(sum_dy) / count;
+      const float mean_dy_xhat = static_cast<float>(sum_dy_xhat) / count;
+      for (int64_t i = 0; i < n; ++i) {
+        const float* d = dyd + (i * c_ + c) * plane;
+        const float* q = xh + (i * c_ + c) * plane;
+        float* o = dxd + (i * c_ + c) * plane;
+        for (int64_t j = 0; j < plane; ++j) {
+          o[j] = g * inv_std * (d[j] - mean_dy - q[j] * mean_dy_xhat);
+        }
       }
     }
-  }
+  });
   return dx;
 }
 

@@ -40,6 +40,13 @@ EngineConfig validated(EngineConfig cfg) {
     throw std::invalid_argument("serve: queue_depth must be >= 1, got " +
                                 std::to_string(cfg.queue_depth));
   }
+  if (cfg.max_batch > cfg.queue_depth) {
+    // At most queue_depth requests are ever pending, so a larger batch could
+    // never fill and every flush would wait out the whole window.
+    throw std::invalid_argument("serve: max_batch (" + std::to_string(cfg.max_batch) +
+                                ") must be <= queue_depth (" +
+                                std::to_string(cfg.queue_depth) + ")");
+  }
   if (cfg.max_wait_us < 0) {
     throw std::invalid_argument("serve: max_wait_us must be >= 0, got " +
                                 std::to_string(cfg.max_wait_us));
@@ -205,13 +212,17 @@ void Engine::dispatch_loop() {
       continue;
     }
     // Deadline-aware coalescing: sleep until the oldest pending request's
-    // age reaches max_wait, unless the batch fills (or stop drains) first.
-    if (!stop_requested_ && pending_size_ < static_cast<size_t>(cfg_.max_batch)) {
+    // age reaches max_wait, unless the batch fills, the slot table fills (no
+    // further arrival could join — slots held by answered-but-unwaited
+    // requests count too), or stop drains first.
+    const auto flush_now = [&] {
+      return stop_requested_ || free_.empty() ||
+             pending_size_ >= static_cast<size_t>(cfg_.max_batch);
+    };
+    if (!flush_now()) {
       const auto deadline = slots_[static_cast<size_t>(pending_[pending_head_])].enqueue_time +
                             max_wait_;
-      worker_cv_.wait_until(lock, deadline, [&] {
-        return stop_requested_ || pending_size_ >= static_cast<size_t>(cfg_.max_batch);
-      });
+      worker_cv_.wait_until(lock, deadline, flush_now);
     }
     batch_idx_.clear();
     while (pending_size_ > 0 && batch_idx_.size() < static_cast<size_t>(cfg_.max_batch)) {

@@ -19,7 +19,8 @@ namespace rp::serve {
 /// with the strict parse-or-exit(2) convention shared by RP_FAULTS /
 /// RP_THREADS:
 ///
-///   RP_SERVE_BATCH    max requests coalesced into one forward pass (>= 1)
+///   RP_SERVE_BATCH    max requests coalesced into one forward pass
+///                     (>= 1, <= queue_depth)
 ///   RP_SERVE_QUEUE    admission bound: queued + in-flight slots   (>= 1)
 ///   RP_SERVE_WAIT_US  deadline: max age of the oldest pending request
 ///                     before a partial batch is flushed            (>= 0)
@@ -48,8 +49,10 @@ struct RouteInfo {
 /// Clients submit single-sample requests; a dispatcher thread coalesces them
 /// into batched forward passes, grouped per routed variant, executed on the
 /// persistent thread pool via Network::forward. Flush policy: a batch runs
-/// as soon as max_batch requests are pending OR the oldest pending request
-/// has waited max_wait_us — latency-bounded coalescing.
+/// as soon as max_batch requests are pending, OR the slot table is full (no
+/// further arrival could join), OR the oldest pending request has waited
+/// max_wait_us — latency-bounded coalescing. max_batch > queue_depth is
+/// rejected at construction: such a batch could never fill.
 ///
 /// Admission control: the slot table is the bound. queue_depth requests may
 /// be queued or in flight; submit() on a full table rejects immediately

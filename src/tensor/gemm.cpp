@@ -71,6 +71,23 @@ void gemm_blocked(const float* a, const float* b, float* c, int64_t m, int64_t n
   }
 }
 
+/// Output positions [lo, hi) along one axis whose input coordinate
+/// `pos * stride + off` lands inside [0, len): the unpadded span of one
+/// kernel offset. Everything outside the span reads zero padding.
+struct AxisSpan {
+  int64_t lo, hi;
+};
+
+AxisSpan valid_span(int64_t out, int64_t len, int64_t stride, int64_t off) {
+  const int64_t hi = off < len ? std::min(out, (len - 1 - off) / stride + 1) : 0;
+  const int64_t lo = off >= 0 ? 0 : (stride - 1 - off) / stride;
+  return {std::min(lo, hi), hi};
+}
+
+void zero_floats(float* p, int64_t n) {
+  if (n > 0) std::memset(p, 0, static_cast<size_t>(n) * sizeof(float));
+}
+
 }  // namespace
 
 // rp-lint: hot
@@ -144,23 +161,43 @@ void im2col(const Tensor& image, const ConvGeom& g, Tensor& cols) {
   }
   const float* src = image.data().data();
   float* dst = cols.data().data();
+  // Branch-free spans: each (c, ki, kj) row computes its valid output
+  // rectangle once, copies it, and zero-fills the padding around it.
   int64_t row = 0;
   for (int64_t c = 0; c < g.in_c; ++c) {
     const float* plane = src + c * g.in_h * g.in_w;
     for (int64_t ki = 0; ki < g.k; ++ki) {
+      const int64_t dy = ki - g.pad;
+      const AxisSpan ys = valid_span(oh, g.in_h, g.stride, dy);
       for (int64_t kj = 0; kj < g.k; ++kj, ++row) {
-        float* out_row = dst + row * oh * ow;
-        for (int64_t y = 0; y < oh; ++y) {
-          const int64_t sy = y * g.stride + ki - g.pad;
-          if (sy < 0 || sy >= g.in_h) {
-            std::memset(out_row + y * ow, 0, static_cast<size_t>(ow) * sizeof(float));
-            continue;
+        const int64_t dx = kj - g.pad;
+        const AxisSpan xs = valid_span(ow, g.in_w, g.stride, dx);
+        float* out = dst + row * oh * ow;
+        if (xs.lo == xs.hi || ys.lo == ys.hi) {
+          zero_floats(out, oh * ow);
+          continue;
+        }
+        zero_floats(out, ys.lo * ow);
+        zero_floats(out + ys.hi * ow, (oh - ys.hi) * ow);
+        if (g.stride == 1 && ow == g.in_w) {
+          // "Same" plane: output (y, x) reads input (y + dy, x + dx), a fixed
+          // shift of the flat index, so the valid rows are one memcpy; the
+          // edge columns picked up neighbouring-row pixels and are re-zeroed.
+          const int64_t first = ys.lo * ow + xs.lo, last = (ys.hi - 1) * ow + xs.hi;
+          std::memcpy(out + first, plane + first + dy * g.in_w + dx,
+                      static_cast<size_t>(last - first) * sizeof(float));
+          for (int64_t y = ys.lo; y < ys.hi; ++y) {
+            zero_floats(out + y * ow, xs.lo);
+            zero_floats(out + y * ow + xs.hi, ow - xs.hi);
           }
-          const float* src_row = plane + sy * g.in_w;
-          for (int64_t x = 0; x < ow; ++x) {
-            const int64_t sx = x * g.stride + kj - g.pad;
-            out_row[y * ow + x] = (sx >= 0 && sx < g.in_w) ? src_row[sx] : 0.0f;
-          }
+          continue;
+        }
+        for (int64_t y = ys.lo; y < ys.hi; ++y) {
+          float* o = out + y * ow;
+          const float* s = plane + (y * g.stride + dy) * g.in_w;
+          zero_floats(o, xs.lo);
+          zero_floats(o + xs.hi, ow - xs.hi);
+          for (int64_t x = xs.lo; x < xs.hi; ++x) o[x] = s[x * g.stride + dx];
         }
       }
     }
@@ -180,20 +217,24 @@ void col2im(const Tensor& cols, const ConvGeom& g, Tensor& image) {
   }
   const float* src = cols.data().data();
   float* dst = image.data().data();
+  // Rows add in (c, ki, kj) order and a row touches each pixel at most once,
+  // so every pixel receives its contributions in the same order as a
+  // position-by-position walk — the span form keeps the sums bit-identical.
   int64_t row = 0;
   for (int64_t c = 0; c < g.in_c; ++c) {
     float* plane = dst + c * g.in_h * g.in_w;
     for (int64_t ki = 0; ki < g.k; ++ki) {
+      const int64_t dy = ki - g.pad;
+      const AxisSpan ys = valid_span(oh, g.in_h, g.stride, dy);
       for (int64_t kj = 0; kj < g.k; ++kj, ++row) {
-        const float* in_row = src + row * oh * ow;
-        for (int64_t y = 0; y < oh; ++y) {
-          const int64_t sy = y * g.stride + ki - g.pad;
-          if (sy < 0 || sy >= g.in_h) continue;
-          float* dst_row = plane + sy * g.in_w;
-          for (int64_t x = 0; x < ow; ++x) {
-            const int64_t sx = x * g.stride + kj - g.pad;
-            if (sx >= 0 && sx < g.in_w) dst_row[sx] += in_row[y * ow + x];
-          }
+        const int64_t dx = kj - g.pad;
+        const AxisSpan xs = valid_span(ow, g.in_w, g.stride, dx);
+        if (xs.lo == xs.hi) continue;
+        const float* in = src + row * oh * ow;
+        for (int64_t y = ys.lo; y < ys.hi; ++y) {
+          float* d = plane + (y * g.stride + dy) * g.in_w;
+          const float* s = in + y * ow;
+          for (int64_t x = xs.lo; x < xs.hi; ++x) d[x * g.stride + dx] += s[x];
         }
       }
     }

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "tensor/ops.hpp"
 #include "tensor/parallel.hpp"
@@ -208,6 +211,112 @@ TEST(Im2col, GeometryMismatchThrows) {
   Tensor img(Shape{2, 4, 4});
   Tensor cols;
   EXPECT_THROW(im2col(img, g, cols), std::invalid_argument);
+}
+
+/// Position-by-position im2col, the form the span lowering replaced: the
+/// reference the exact-lowering sweep compares against.
+Tensor naive_im2col(const Tensor& image, const ConvGeom& g) {
+  const int64_t oh = g.out_h(), ow = g.out_w();
+  Tensor cols(Shape{g.patch(), oh * ow});
+  int64_t row = 0;
+  for (int64_t c = 0; c < g.in_c; ++c) {
+    for (int64_t ki = 0; ki < g.k; ++ki) {
+      for (int64_t kj = 0; kj < g.k; ++kj, ++row) {
+        for (int64_t y = 0; y < oh; ++y) {
+          for (int64_t x = 0; x < ow; ++x) {
+            const int64_t sy = y * g.stride + ki - g.pad;
+            const int64_t sx = x * g.stride + kj - g.pad;
+            const bool inside = sy >= 0 && sy < g.in_h && sx >= 0 && sx < g.in_w;
+            cols.at(row, y * ow + x) = inside ? image.at(c, sy, sx) : 0.0f;
+          }
+        }
+      }
+    }
+  }
+  return cols;
+}
+
+/// Position-by-position col2im: each pixel accumulates its contributions in
+/// (c, ki, kj, y, x) order, the order the span form must keep.
+Tensor naive_col2im(const Tensor& cols, const ConvGeom& g) {
+  const int64_t oh = g.out_h(), ow = g.out_w();
+  Tensor image(Shape{g.in_c, g.in_h, g.in_w});
+  int64_t row = 0;
+  for (int64_t c = 0; c < g.in_c; ++c) {
+    for (int64_t ki = 0; ki < g.k; ++ki) {
+      for (int64_t kj = 0; kj < g.k; ++kj, ++row) {
+        for (int64_t y = 0; y < oh; ++y) {
+          for (int64_t x = 0; x < ow; ++x) {
+            const int64_t sy = y * g.stride + ki - g.pad;
+            const int64_t sx = x * g.stride + kj - g.pad;
+            if (sy >= 0 && sy < g.in_h && sx >= 0 && sx < g.in_w) {
+              image.at(c, sy, sx) += cols.at(row, y * ow + x);
+            }
+          }
+        }
+      }
+    }
+  }
+  return image;
+}
+
+bool bits_equal(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+/// Every geometry of the sweep: k in {1, 3, 5}, stride in {1, 2}, pad in
+/// {0, 1, 2}, odd, non-square and "same" planes, in_c in {1, 3}. Kernels
+/// wider than the padded plane are skipped (no valid convolution).
+std::vector<ConvGeom> lowering_sweep() {
+  std::vector<ConvGeom> out;
+  for (const int64_t in_c : {1, 3}) {
+    for (const auto& [h, w] : {std::pair<int64_t, int64_t>{5, 4}, {7, 7}, {4, 6}, {16, 16}}) {
+      for (const int64_t k : {1, 3, 5}) {
+        for (const int64_t stride : {1, 2}) {
+          for (const int64_t pad : {0, 1, 2}) {
+            if (h + 2 * pad < k || w + 2 * pad < k) continue;
+            out.push_back(ConvGeom{in_c, h, w, k, stride, pad});
+          }
+        }
+      }
+    }
+  }
+  return out;
+}
+
+std::string describe(const ConvGeom& g) {
+  return "in_c=" + std::to_string(g.in_c) + " plane=" + std::to_string(g.in_h) + "x" +
+         std::to_string(g.in_w) + " k=" + std::to_string(g.k) +
+         " stride=" + std::to_string(g.stride) + " pad=" + std::to_string(g.pad);
+}
+
+TEST(Im2col, MatchesNaiveLoweringBitExactOverGeometrySweep) {
+  for (const ConvGeom& g : lowering_sweep()) {
+    SCOPED_TRACE(describe(g));
+    Rng rng(static_cast<uint64_t>(g.in_h * 131 + g.in_w * 17 + g.k * 5 + g.stride * 3 + g.pad));
+    const Tensor img = Tensor::randn(Shape{g.in_c, g.in_h, g.in_w}, rng);
+    // A stale, wrongly-filled cols buffer of the right shape must be fully
+    // overwritten — padding included.
+    Tensor cols = Tensor::full(Shape{g.patch(), g.out_h() * g.out_w()}, 7.0f);
+    im2col(img, g, cols);
+    EXPECT_TRUE(bits_equal(cols, naive_im2col(img, g)));
+  }
+}
+
+TEST(Col2im, MatchesNaiveLoweringBitExactOverGeometrySweep) {
+  for (const ConvGeom& g : lowering_sweep()) {
+    SCOPED_TRACE(describe(g));
+    Rng rng(static_cast<uint64_t>(g.in_h * 37 + g.in_w * 11 + g.k * 7 + g.stride * 2 + g.pad));
+    Tensor cols = Tensor::randn(Shape{g.patch(), g.out_h() * g.out_w()}, rng);
+    // Signed zeros exercise the first add into the zeroed image.
+    for (int64_t i = 0; i < cols.numel(); i += 5) cols[i] = -0.0f;
+    // A reused image buffer of the right shape is re-zeroed before the adds.
+    Tensor image = Tensor::full(Shape{g.in_c, g.in_h, g.in_w}, 3.0f);
+    col2im(cols, g, image);
+    EXPECT_TRUE(bits_equal(image, naive_col2im(cols, g)));
+  }
 }
 
 /// col2im must be the adjoint of im2col: <im2col(x), y> == <x, col2im(y)>.

@@ -126,6 +126,19 @@ TEST(RpLint, R10FiresOnEveryRacyCapturePattern) {
   EXPECT_NE(r.output.find("rp-lint: 4 violation(s)"), std::string::npos) << r.output;
 }
 
+TEST(RpLint, R10TreatsCommaDeclaratorsAsLocals) {
+  const LintRun r = run_lint("--force-all-rules " + kFixtures + "/r10_comma_declarators.cpp");
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  // `const int64_t cb = …, ce = …, gc = …;`, `float m, *pm = &m, v;` and
+  // `double s = 0.0, sv = 0.0;` declare lambda locals: silent. The comma
+  // expression `a = …, b = …;` writes two captures: both flagged, nothing else.
+  EXPECT_NE(r.output.find(":33: [R10] parallel lambda assigns captured 'a'"), std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find(":33: [R10] parallel lambda assigns captured 'b'"), std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find("rp-lint: 2 violation(s)"), std::string::npos) << r.output;
+}
+
 TEST(RpLint, R11FlagsUpwardIncludeAndCycleOnly) {
   const LintRun r = run_lint("--root " + kFixtures + "/r11_tree");
   EXPECT_EQ(r.exit_code, 1) << r.output;

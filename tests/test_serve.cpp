@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <string>
 #include <thread>  // rp-lint: allow(R2) serving tests drive the engine with real client threads
+#include <vector>
 
 #include "core/pruner.hpp"
 #include "fault/fault.hpp"
@@ -240,6 +243,7 @@ TEST_F(ServeTest, SubmitRejectsMalformedShapeAndFullQueue) {
   ModelRegistry registry(make_family(cache), cache);
   Router router(registry);
   EngineConfig cfg;
+  cfg.max_batch = 2;
   cfg.queue_depth = 2;
   Engine engine(registry, router, cfg);  // not started: requests sit queued
 
@@ -321,6 +325,61 @@ TEST_F(ServeTest, FullBatchFlushesBeforeTheDeadline) {
   engine.wait_into(*t0, &logits);
   engine.wait_into(*t1, &logits);
   EXPECT_EQ(engine.stats().batches, 1);  // both rode one coalesced pass
+  engine.stop();
+}
+
+TEST_F(ServeTest, BatchLargerThanQueueIsRejected) {
+  exp::ArtifactCache cache(dir_);
+  ModelRegistry registry(make_family(cache), cache);
+  Router router(registry);
+  EngineConfig cfg;
+  cfg.max_batch = 16;  // at most 8 requests can ever be pending
+  cfg.queue_depth = 8;
+  try {
+    Engine engine(registry, router, cfg);
+    FAIL() << "max_batch > queue_depth must be rejected";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("max_batch (16)"), std::string::npos) << what;
+    EXPECT_NE(what.find("queue_depth (8)"), std::string::npos) << what;
+  }
+}
+
+TEST_F(ServeTest, FullSlotTableFlushesBeforeTheDeadline) {
+  exp::ArtifactCache cache(dir_);
+  ModelRegistry registry(make_family(cache), cache);
+  Router router(registry);
+  EngineConfig cfg;
+  cfg.max_batch = 8;
+  cfg.queue_depth = 8;
+  cfg.max_wait_us = 30'000'000;  // one window: 30 s
+  Engine engine(registry, router, cfg);
+  engine.start();
+  const Tensor images = make_images(12);
+  const auto t0 = std::chrono::steady_clock::now();  // rp-lint: allow(R1) test stopwatch: pins the flush inside the window, feeds no result
+  std::vector<Engine::Ticket> first;
+  for (int64_t i = 0; i < 8; ++i) {
+    const auto t = engine.submit(nth_image(images, i), "nominal");
+    ASSERT_TRUE(t.has_value());
+    first.push_back(*t);
+  }
+  Tensor logits;
+  for (size_t i = 0; i < 4; ++i) engine.wait_into(first[i], &logits);
+  // Four answered requests still hold their slots, so the four new ones fill
+  // the table: no further arrival can join, and the partial batch of 4 must
+  // flush now instead of sleeping out the window.
+  std::vector<Engine::Ticket> second;
+  for (int64_t i = 8; i < 12; ++i) {
+    const auto t = engine.submit(nth_image(images, i), "nominal");
+    ASSERT_TRUE(t.has_value());
+    second.push_back(*t);
+  }
+  for (const auto& t : second) engine.wait_into(t, &logits);
+  const auto t1 = std::chrono::steady_clock::now();  // rp-lint: allow(R1) test stopwatch: pins the flush inside the window, feeds no result
+  const double waited_s = std::chrono::duration<double>(t1 - t0).count();
+  EXPECT_EQ(engine.stats().batches, 2);  // two flushes inside one window
+  EXPECT_LT(waited_s, 10.0);
+  for (size_t i = 4; i < 8; ++i) engine.wait_into(first[i], &logits);
   engine.stop();
 }
 

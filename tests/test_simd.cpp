@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "nn/layers.hpp"
@@ -249,22 +250,30 @@ struct ConvRun {
   Tensor y, dx, dw, db;
 };
 
-/// One forward+backward pass of a fresh, identically-seeded Conv2d. Shapes
-/// chosen so oplane (15*15=225) misses the vector widths and the weight has
-/// pruned (zeroed) filter rows.
-ConvRun run_conv(int threads) {
+/// Geometry of one conv bit-identity case.
+struct ConvCase {
+  int64_t in_c, out_c, k, stride, pad, h, w, batch;
+};
+
+/// Default case: oplane (15*15=225) misses the vector widths.
+constexpr ConvCase kRaggedConv{3, 10, 3, 1, 1, 15, 15, 6};
+
+/// One forward+backward pass of a fresh, identically-seeded Conv2d whose
+/// weight has pruned (zeroed) filter rows.
+ConvRun run_conv(int threads, const ConvCase& cc = kRaggedConv) {
   Rng rng(7);
-  nn::Conv2d conv("c", /*in_c=*/3, /*out_c=*/10, /*k=*/3, /*stride=*/1, /*pad=*/1,
-                  /*in_h=*/15, /*in_w=*/15, /*use_bias=*/true, rng);
+  nn::Conv2d conv("c", cc.in_c, cc.out_c, cc.k, cc.stride, cc.pad, cc.h, cc.w,
+                  /*use_bias=*/true, rng);
   // Prune two filters end to end: their dW rows stay exactly zero and the
   // GEMM zero-skip sees full zero rows.
   for (int64_t j = 0; j < conv.weight().value.size(1); ++j) {
     conv.weight().value.at(2, j) = 0.0f;
     conv.weight().value.at(7, j) = 0.0f;
   }
+  const ConvGeom g{cc.in_c, cc.h, cc.w, cc.k, cc.stride, cc.pad};
   Rng drng(11);
-  Tensor x = Tensor::randn(Shape{6, 3, 15, 15}, drng);
-  Tensor dy = Tensor::randn(Shape{6, 10, 15, 15}, drng);
+  Tensor x = Tensor::randn(Shape{cc.batch, cc.in_c, cc.h, cc.w}, drng);
+  Tensor dy = Tensor::randn(Shape{cc.batch, cc.out_c, g.out_h(), g.out_w()}, drng);
 
   parallel::set_num_threads(threads);
   ConvRun r;
@@ -291,16 +300,93 @@ TEST(SimdConv, ForwardBackwardScalarVsSimdBitExact) {
 }
 
 /// The parallel backward contract: per-sample partials folded in sample order
-/// make gradients bit-identical for any RP_THREADS.
+/// make gradients bit-identical for any RP_THREADS and any chunking. Covers
+/// the ragged stride-1 case, resnet8's stride-2 3x3 and 1x1 stride-2
+/// projection convs, and a batch of 37 that no per-lane grain divides
+/// (grain 37 / (4 * 2) = 4 at two lanes leaves a one-sample tail chunk).
 TEST(SimdConv, ParallelBackwardMatchesSerialBitExact) {
   ThreadGuard tguard;
-  const ConvRun serial = run_conv(1);
-  for (const int threads : {2, 8}) {
-    const ConvRun threaded = run_conv(threads);
-    EXPECT_TRUE(bits_equal(serial.y, threaded.y)) << "threads=" << threads;
-    EXPECT_TRUE(bits_equal(serial.dx, threaded.dx)) << "threads=" << threads;
-    EXPECT_TRUE(bits_equal(serial.dw, threaded.dw)) << "threads=" << threads;
-    EXPECT_TRUE(bits_equal(serial.db, threaded.db)) << "threads=" << threads;
+  for (const ConvCase& cc : {kRaggedConv, ConvCase{8, 16, 3, 2, 1, 16, 16, 6},
+                             ConvCase{8, 16, 1, 2, 0, 16, 16, 6},
+                             ConvCase{8, 16, 3, 2, 1, 16, 16, 37}}) {
+    SCOPED_TRACE("k=" + std::to_string(cc.k) + " stride=" + std::to_string(cc.stride) +
+                 " batch=" + std::to_string(cc.batch));
+    const ConvRun serial = run_conv(1, cc);
+    for (const int threads : {2, 8}) {
+      const ConvRun threaded = run_conv(threads, cc);
+      EXPECT_TRUE(bits_equal(serial.y, threaded.y)) << "threads=" << threads;
+      EXPECT_TRUE(bits_equal(serial.dx, threaded.dx)) << "threads=" << threads;
+      EXPECT_TRUE(bits_equal(serial.dw, threaded.dw)) << "threads=" << threads;
+      EXPECT_TRUE(bits_equal(serial.db, threaded.db)) << "threads=" << threads;
+    }
+  }
+}
+
+// ----- batch norm -------------------------------------------------------------
+
+struct BnRun {
+  Tensor y_train, dx, dgamma, dbeta, running_mean, running_var, y_eval;
+};
+
+/// Train forward + backward, then an eval forward from the updated running
+/// statistics, of a fresh BatchNorm2d with non-trivial gamma/beta. The plane
+/// (15x17 = 255) misses the vector widths, and at batch 64 a chunk covers
+/// two channels, so the channel loop really splits across lanes.
+BnRun run_bn(int threads, int64_t channels, int64_t batch) {
+  nn::BatchNorm2d bn("bn", channels);
+  Rng rng(static_cast<uint64_t>(channels * 100 + batch));
+  for (int64_t c = 0; c < channels; ++c) {
+    bn.gamma().value[c] = 0.5f + 0.1f * static_cast<float>(c % 7);
+    bn.beta().value[c] = 0.05f * static_cast<float>(c % 5) - 0.1f;
+  }
+  const Shape shape{batch, channels, 15, 17};
+  Tensor x = Tensor::randn(shape, rng, 2.0f);
+  Tensor dy = Tensor::randn(shape, rng);
+  Tensor x_eval = Tensor::randn(shape, rng);
+
+  parallel::set_num_threads(threads);
+  BnRun r;
+  r.y_train = bn.forward(x, /*train=*/true);
+  r.dx = bn.backward(dy);
+  r.dgamma = bn.gamma().grad;
+  r.dbeta = bn.beta().grad;
+  r.running_mean = bn.running_mean();
+  r.running_var = bn.running_var();
+  r.y_eval = bn.forward(x_eval, /*train=*/false);
+  return r;
+}
+
+/// BatchNorm is channel-parallel: every channel's double sums keep their
+/// serial (i, j) order, so all outputs, gradients and running statistics are
+/// bit-identical to a serial scalar run for any lane count and ISA.
+TEST(BatchNorm2d, ParallelMatchesSerialBitExact) {
+  SimdGuard guard;
+  ThreadGuard tguard;
+  for (const int64_t channels : {1, 3, 8, 13, 32}) {
+    for (const int64_t batch : {1, 7, 64}) {
+      simd::force(simd::Isa::kScalar);
+      const BnRun serial = run_bn(1, channels, batch);
+      for (const bool dispatched : {false, true}) {
+        if (dispatched) {
+          simd::reset();
+        } else {
+          simd::force(simd::Isa::kScalar);
+        }
+        for (const int threads : {1, 2, 8}) {
+          SCOPED_TRACE("channels=" + std::to_string(channels) + " batch=" +
+                       std::to_string(batch) + " threads=" + std::to_string(threads) +
+                       (dispatched ? " simd=auto" : " simd=off"));
+          const BnRun r = run_bn(threads, channels, batch);
+          EXPECT_TRUE(bits_equal(serial.y_train, r.y_train));
+          EXPECT_TRUE(bits_equal(serial.dx, r.dx));
+          EXPECT_TRUE(bits_equal(serial.dgamma, r.dgamma));
+          EXPECT_TRUE(bits_equal(serial.dbeta, r.dbeta));
+          EXPECT_TRUE(bits_equal(serial.running_mean, r.running_mean));
+          EXPECT_TRUE(bits_equal(serial.running_var, r.running_var));
+          EXPECT_TRUE(bits_equal(serial.y_eval, r.y_eval));
+        }
+      }
+    }
   }
 }
 

@@ -34,6 +34,55 @@ struct LambdaInfo {
   std::size_t body_begin = 0, body_end = 0;
 };
 
+/// True when no assignment precedes the declarator at `j` within its
+/// statement (scanning back to the enclosing ';', '{', '}' or open paren):
+/// `const int a = 0, b = 1;` opens with a declaration, while a comma
+/// expression such as `x = a * b, c = 1;` does not.
+bool opens_declaration(const std::vector<Token>& t, std::size_t begin, std::size_t j) {
+  int depth = 0;
+  for (std::size_t k = j; k > begin; --k) {
+    const std::string& s = t[k - 1].text;
+    if (s == ")" || s == "]") {
+      ++depth;
+    } else if (s == "(" || s == "[") {
+      if (depth == 0) return true;
+      --depth;
+    } else if (depth == 0 && (s == ";" || s == "{" || s == "}")) {
+      return true;
+    } else if (depth == 0 && s == "=") {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Adds the declarators that follow the one at `first` in its declaration
+/// statement: each name after a top-level ',' (past any '*' / '&') that is
+/// followed by an initializer or terminator, as in `float m, v;`.
+void add_trailing_declarators(const std::vector<Token>& t, std::size_t first, std::size_t end,
+                              std::set<std::string>& locals) {
+  int depth = 0;
+  for (std::size_t k = first + 1; k < end; ++k) {
+    const std::string& s = t[k].text;
+    if (s == "(" || s == "[" || s == "{") {
+      ++depth;
+    } else if (s == ")" || s == "]" || s == "}") {
+      if (--depth < 0) return;
+    } else if (depth == 0 && s == ";") {
+      return;
+    } else if (depth == 0 && s == ",") {
+      std::size_t d = k + 1;
+      while (d < end && (t[d].text == "*" || t[d].text == "&")) ++d;
+      if (d + 1 >= end || t[d].kind != Tok::Ident || is_keyword(t[d].text)) continue;
+      const std::string& next = t[d + 1].text;
+      if (next == "=" || next == ";" || next == "," || next == "(" || next == "{" ||
+          next == "[") {
+        locals.insert(t[d].text);
+      }
+    }
+  }
+}
+
 /// Parses the lambda whose introducer '[' sits at `lb`: capture list,
 /// parameters, body token range, and the set of body-local names.
 LambdaInfo parse_lambda(const std::vector<Token>& t, std::size_t lb) {
@@ -106,8 +155,9 @@ LambdaInfo parse_lambda(const std::vector<Token>& t, std::size_t lb) {
 
   // Body-local declarations. Heuristic: identifier X is a declaration when
   // the previous token reads like the tail of a type (identifier, &, *, >)
-  // and the next token starts an initializer/terminator. Over-approximating
-  // locals only costs missed findings, never false ones.
+  // and the next token starts an initializer/terminator; the later
+  // declarators of the same statement (`const int a = 0, b = 1;`) follow.
+  // Over-approximating locals only costs missed findings, never false ones.
   for (std::size_t j = lam.body_begin; j < lam.body_end; ++j) {
     if (t[j].text == "auto" && j + 1 < lam.body_end && t[j + 1].text == "[") {
       for (std::size_t k = j + 2; k < lam.body_end && t[k].text != "]"; ++k) {
@@ -124,6 +174,9 @@ LambdaInfo parse_lambda(const std::vector<Token>& t, std::size_t lb) {
     if (next == "=" || next == ";" || next == "(" || next == "{" || next == ":" || next == "," ||
         next == "[") {
       lam.locals.insert(t[j].text);
+      if (opens_declaration(t, lam.body_begin, j)) {
+        add_trailing_declarators(t, j, lam.body_end, lam.locals);
+      }
     }
   }
   lam.valid = true;
