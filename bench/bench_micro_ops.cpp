@@ -9,10 +9,7 @@
 
 #include <benchmark/benchmark.h>
 
-#include <atomic>
-#include <cstdlib>
 #include <cstring>
-#include <new>
 #include <string>
 #include <vector>
 
@@ -25,63 +22,10 @@
 #include "nn/loss.hpp"
 #include "nn/models.hpp"
 #include "nn/trainer.hpp"
-#include "tensor/arena.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/parallel.hpp"
 #include "tensor/simd.hpp"
 #include "tensor/sparse.hpp"
-
-// ---------------------------------------------------------------------------
-// Heap-allocation census for the BM_*Allocs benches: every operator new in
-// this binary bumps a counter. The replacement exists in the bench binary
-// only — the library is untouched — and delegates to malloc/free, so the
-// arena's own chunk mmap/malloc traffic (which happens once at warmup) is
-// deliberately NOT counted: the benches measure per-step operator-new
-// traffic, the thing the memory-discipline engine promises to eliminate.
-
-// noinline: keeps the census bodies out of callers, which would otherwise
-// trip GCC's -Wmismatched-new-delete (it sees the inlined free() paired with
-// an operator-new result and cannot prove both sides route through malloc).
-#define RP_ALLOC_HOOK __attribute__((noinline))
-
-namespace {
-std::atomic<std::uint64_t> g_heap_allocs{0};
-}  // namespace
-
-RP_ALLOC_HOOK void* operator new(std::size_t size) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-RP_ALLOC_HOOK void* operator new[](std::size_t size) { return ::operator new(size); }
-RP_ALLOC_HOOK void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size ? size : 1);
-}
-RP_ALLOC_HOOK void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
-  return ::operator new(size, tag);
-}
-RP_ALLOC_HOOK void* operator new(std::size_t size, std::align_val_t align) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  void* p = nullptr;
-  if (posix_memalign(&p, static_cast<std::size_t>(align), size ? size : 1) != 0) {
-    throw std::bad_alloc();
-  }
-  return p;
-}
-RP_ALLOC_HOOK void* operator new[](std::size_t size, std::align_val_t align) {
-  return ::operator new(size, align);
-}
-RP_ALLOC_HOOK void operator delete(void* p) noexcept { std::free(p); }
-RP_ALLOC_HOOK void operator delete[](void* p) noexcept { std::free(p); }
-RP_ALLOC_HOOK void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-RP_ALLOC_HOOK void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-RP_ALLOC_HOOK void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-RP_ALLOC_HOOK void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
-RP_ALLOC_HOOK void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-RP_ALLOC_HOOK void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-RP_ALLOC_HOOK void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-RP_ALLOC_HOOK void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
 
 using namespace rp;
 
@@ -218,8 +162,8 @@ BENCHMARK(BM_ConvBackwardSimd)->Arg(0)->Arg(1)->UseRealTime();
 /// The acceptance benchmark for the compile-to-sparse engine: n³ GEMM at one
 /// thread with the A operand unstructured-pruned to a target density
 /// (per-mille in arg 1), executed dense (arg 2 = 0) or through a compiled
-/// CSR (1) / 4×8 block (2) layout. All three variants are bit-identical in
-/// output (tests/test_sparse.cpp); the dense rows at each density are the
+/// CSR layout (1). Both variants are bit-identical in output
+/// (tests/test_sparse.cpp); the dense rows at each density are the
 /// baseline of the committed speedup-vs-density curves. Acceptance: ≥3×
 /// over dense at ≤10% density.
 void BM_SparseGemm(benchmark::State& state) {
@@ -242,8 +186,7 @@ void BM_SparseGemm(benchmark::State& state) {
       benchmark::DoNotOptimize(c.data().data());
     }
   } else {
-    const auto w =
-        sparse::compile(a, layout == 1 ? sparse::Mode::kCsr : sparse::Mode::kBlock);
+    const auto w = sparse::compile(a, sparse::Mode::kCsr);
     for (auto _ : state) {
       sparse::matmul_into(w, b, c);
       benchmark::DoNotOptimize(c.data().data());
@@ -254,12 +197,11 @@ void BM_SparseGemm(benchmark::State& state) {
   // problem size, so speedup reads directly off the FLOPS ratio.
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
   report_flops(state, 2.0 * static_cast<double>(n * n * n));
-  const char* kLayoutNames[] = {"dense", "csr", "block"};
   state.SetLabel(std::to_string(n) + "^3 @ 1 thread, density " + std::to_string(density) +
-                 ", " + kLayoutNames[layout]);
+                 ", " + (layout == 0 ? "dense" : "csr"));
 }
 BENCHMARK(BM_SparseGemm)
-    ->ArgsProduct({{128, 256, 512}, {1000, 500, 200, 100, 50}, {0, 1, 2}})
+    ->ArgsProduct({{128, 256, 512}, {1000, 500, 200, 100, 50}, {0, 1}})
     ->UseRealTime();
 
 /// The acceptance benchmark for the observability layer: counter increments
@@ -451,69 +393,6 @@ void BM_TrainingStep(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 64);
 }
 BENCHMARK(BM_TrainingStep);
-
-/// Per-step operator-new count of a warmed-up training step. Arg(0) pins
-/// RP_ARENA=off (the "before" record), Arg(1) pins it on — the
-/// memory-discipline acceptance number: with the arena engine the steady
-/// state makes zero trips through operator new per step (tensors come from
-/// the lane arena/pool, both malloc-backed and warm). Iterations are pinned
-/// so the count is exact, threads at 1 so the census is single-lane.
-void BM_TrainStepAllocs(benchmark::State& state) {
-  parallel::set_num_threads(1);
-  mem::force(state.range(0) == 1 ? mem::Mode::kOn : mem::Mode::kOff);
-  data::SynthConfig cfg;
-  cfg.n = 64;
-  cfg.seed = 9;
-  auto ds = data::make_synth_classification(cfg);
-  auto net = nn::build_network("resnet8", nn::synth_cifar_task(), 1);
-  std::vector<int64_t> idx(64);
-  for (int64_t i = 0; i < 64; ++i) idx[static_cast<size_t>(i)] = i;
-  data::Batch batch = data::make_batch(*ds, idx);
-  const auto step = [&] {
-    const mem::Scope scope;  // the per-batch reset boundary nn::train uses
-    Tensor logits = net->forward(batch.images, true);
-    const auto lr = nn::softmax_cross_entropy(logits, batch.labels);
-    net->zero_grad();
-    net->backward(lr.dlogits);
-    benchmark::DoNotOptimize(lr.loss);
-  };
-  for (int i = 0; i < 3; ++i) step();  // warm the lane arena and pool
-  const std::uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
-  for (auto _ : state) step();
-  const std::uint64_t after = g_heap_allocs.load(std::memory_order_relaxed);
-  state.counters["heap_allocs_per_step"] = benchmark::Counter(
-      static_cast<double>(after - before) / static_cast<double>(state.iterations()));
-  state.SetItemsProcessed(state.iterations() * 64);
-  state.SetLabel(std::string("RP_ARENA=") + mem::mode_name(mem::mode()));
-  mem::reset();
-  parallel::set_num_threads(0);
-}
-BENCHMARK(BM_TrainStepAllocs)->Arg(0)->Arg(1)->Iterations(20);
-
-/// Same census for a full evaluate() pass (batched forward + argmax + loss).
-void BM_EvalAllocs(benchmark::State& state) {
-  parallel::set_num_threads(1);
-  mem::force(state.range(0) == 1 ? mem::Mode::kOn : mem::Mode::kOff);
-  data::SynthConfig cfg;
-  cfg.n = 128;
-  cfg.seed = 13;
-  auto ds = data::make_synth_classification(cfg);
-  auto net = nn::build_network("resnet8", nn::synth_cifar_task(), 1);
-  for (int i = 0; i < 2; ++i) nn::evaluate(*net, *ds);  // warm the lane pool
-  const std::uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
-  for (auto _ : state) {
-    const auto metrics = nn::evaluate(*net, *ds);
-    benchmark::DoNotOptimize(metrics.loss);
-  }
-  const std::uint64_t after = g_heap_allocs.load(std::memory_order_relaxed);
-  state.counters["heap_allocs_per_step"] = benchmark::Counter(
-      static_cast<double>(after - before) / static_cast<double>(state.iterations()));
-  state.SetItemsProcessed(state.iterations() * 128);
-  state.SetLabel(std::string("RP_ARENA=") + mem::mode_name(mem::mode()));
-  mem::reset();
-  parallel::set_num_threads(0);
-}
-BENCHMARK(BM_EvalAllocs)->Arg(0)->Arg(1)->Iterations(10);
 
 void BM_BackselectStep(benchmark::State& state) {
   auto net = nn::build_network("resnet8", nn::synth_cifar_task(), 1);

@@ -6,17 +6,16 @@
 # fallback, and with RP_SPARSE=off forcing the dense execution path — then a
 # fast smoke pass with RP_TRACE active (the trace file must come out as valid
 # JSON), then a fault-injection pass (RP_FAULTS periodic transient write/read
-# faults over the storage-heavy suite slice including the sparse-artifact
-# tests, plus the SIGKILL crash-matrix tests and the multi-worker
-# distributed-scheduler matrix), then a serving smoke gate
+# faults over the storage-heavy suite slice, plus the SIGKILL crash-matrix
+# tests and the multi-worker distributed-scheduler matrix), then a serving
+# smoke gate
 # (the rp::serve suite serially: routing, lifecycle, bit-identity, and the
 # corrupt-variant quarantine-and-drop path), then a bench-provenance gate
 # (the micro-ops and serving bench binaries must self-report a true
 # Release/NDEBUG build — a debug timing must never reach the committed perf
-# record), then the
-# ASan+UBSan build and the same suite under it (also with SIMD dispatched, so
-# the sanitizers cover the intrinsic kernels). Exits non-zero on the first
-# failure.
+# record), then the ASan+UBSan build and the same suite under it (also with
+# SIMD dispatched, so the sanitizers cover the intrinsic kernels). Exits
+# non-zero on the first failure.
 #
 #   scripts/check.sh             # everything
 #   RP_CHECK_SKIP_ASAN=1 scripts/check.sh   # skip the sanitizer pass (quick)
@@ -39,7 +38,7 @@ echo "== [1b] rp-lint tree pass: JSON archive + scan timing =="
 # machine-readable findings (CI/editor consumption) and surfaces the
 # obs-style stderr timing line so lint-runtime regressions are visible.
 RP_LINT_JSON="${RP_LINT_JSON:-build/rp_lint_findings.json}"
-./build/tools/rp_lint/rp_lint --root . --json --show-suppressed --r12-burndown > "$RP_LINT_JSON"
+./build/tools/rp_lint/rp_lint --root . --json --show-suppressed > "$RP_LINT_JSON"
 python3 -c "import json,sys; n=len(json.load(open(sys.argv[1]))); print(f'lint archive OK: {n} record(s) ->', sys.argv[1])" \
   "$RP_LINT_JSON"
 
@@ -59,13 +58,13 @@ python3 -c "import json,sys; json.load(open(sys.argv[1])); print('trace OK:', sy
 rm -f "$RP_TRACE_FILE"
 
 echo "== [4/7] Fault injection: transient faults absorbed, crashes recovered =="
-# Storage-heavy slice (including the sparse-artifact round-trip tests) under a
+# Storage-heavy slice under a
 # periodic transient-fault schedule: every third write and every fifth read
 # raises an injected fault that durable_write / read_file must absorb by
 # retrying. Serial, so the counter-indexed schedule stays deterministic per
 # process.
 RP_FAULTS='write:every=3,read:every=5' ctest --test-dir build --output-on-failure \
-  -R 'FaultTest|CacheTest|Serialize|RunnerTest|SparseTest' -j 1
+  -R 'FaultTest|CacheTest|Serialize|RunnerTest' -j 1
 # Crash matrix runs without an ambient schedule: it arms RP_FAULTS itself in
 # the SIGKILLed child processes it spawns.
 ctest --test-dir build --output-on-failure -R 'FaultMatrix' -j 1
@@ -79,7 +78,7 @@ ctest --test-dir build --output-on-failure -R 'SchedTest' -j 1
 echo "== [5/7] Serving smoke: routing policy, queue lifecycle, corrupt-variant drop =="
 # Full rp::serve suite serially: registry load order, potential-aware
 # routing, admission/drain lifecycle, the bit-identity proof vs direct
-# predict across RP_THREADS x RP_SPARSE x RP_ARENA, and the corrupt-variant
+# predict across RP_THREADS x RP_SPARSE, and the corrupt-variant
 # degradation path (the test arms its own bitflip schedule through the
 # RP_FAULTS machinery and asserts quarantine-and-drop, never crash).
 ctest --test-dir build --output-on-failure -R 'Serve' -j 1
@@ -127,18 +126,10 @@ XEOF
 rm -f "$SERVE_PROBE"
 
 if [[ "${RP_CHECK_SKIP_ASAN:-0}" != "1" ]]; then
-  echo "== [7/7] ASan+UBSan build + tests (arena engine forced on, poison canaries armed) =="
+  echo "== [7/7] ASan+UBSan build + tests (SIMD dispatched) =="
   cmake -B build-asan -S . -DRP_SANITIZE=address,undefined -DRP_WERROR=ON
   cmake --build build-asan -j "$JOBS"
-  # Full suite with the memory-discipline engine forced ON and the 0xA5C3DEAD
-  # reset-poison live: every scratch bump, scope reset, and pool recycle runs
-  # instrumented, and a use-after-reset shows up as a poisoned read even where
-  # ASan cannot see it (arena memory is recycled, never unmapped).
-  RP_ARENA=on RP_ARENA_POISON=1 ctest --test-dir build-asan --output-on-failure -j "$JOBS"
-  # Engine-off lane under the sanitizers too: plain heap tensors everywhere,
-  # exercised over the arena/trainer/obs slice where the two paths diverge.
-  RP_ARENA=off ctest --test-dir build-asan --output-on-failure \
-    -R 'Arena|TrainerTest|ObsTest' -j "$JOBS"
+  ctest --test-dir build-asan --output-on-failure -j "$JOBS"
 fi
 
 echo "check.sh: all gates passed"

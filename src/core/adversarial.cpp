@@ -10,7 +10,7 @@ namespace rp::core {
 
 Tensor input_gradient(nn::Network& net, const Tensor& image, int64_t label) {
   if (image.ndim() != 3) throw std::invalid_argument("input_gradient: expected [C, H, W]");
-  Tensor batch = Tensor::scratch(Shape{1, image.size(0), image.size(1), image.size(2)});
+  Tensor batch(Shape{1, image.size(0), image.size(1), image.size(2)});
   batch.set_slice0(0, image);
   Tensor logits = net.forward(batch, /*train=*/false);
   const std::vector<int64_t> labels{label};
@@ -23,7 +23,7 @@ Tensor input_gradient(nn::Network& net, const Tensor& image, int64_t label) {
 
 Tensor fgsm(nn::Network& net, const Tensor& image, int64_t label, float eps) {
   const Tensor g = input_gradient(net, image, label);
-  Tensor adv = Tensor::scratch_copy(image.shape(), image.data().data());
+  Tensor adv = image;
   for (int64_t i = 0; i < adv.numel(); ++i) {
     adv[i] = std::clamp(adv[i] + eps * (g[i] > 0 ? 1.0f : (g[i] < 0 ? -1.0f : 0.0f)), 0.0f, 1.0f);
   }
@@ -33,12 +33,8 @@ Tensor fgsm(nn::Network& net, const Tensor& image, int64_t label, float eps) {
 Tensor pgd(nn::Network& net, const Tensor& image, int64_t label, float eps, float alpha,
            int steps) {
   if (steps < 1) throw std::invalid_argument("pgd: need at least one step");
-  Tensor adv = Tensor::scratch_copy(image.shape(), image.data().data());
+  Tensor adv = image;
   for (int step = 0; step < steps; ++step) {
-    // Per-step arena generation: `adv` was allocated before the scope opened,
-    // so it sits below the watermark and survives every reset; the step's
-    // forward/backward temporaries do not.
-    const mem::Scope step_scope;
     const Tensor g = input_gradient(net, adv, label);
     for (int64_t i = 0; i < adv.numel(); ++i) {
       float v = adv[i] + alpha * (g[i] > 0 ? 1.0f : (g[i] < 0 ? -1.0f : 0.0f));
@@ -58,16 +54,13 @@ double adversarial_accuracy(nn::Network& net, const data::Dataset& ds, Attack at
   if (n_images < 1) throw std::invalid_argument("adversarial_accuracy: empty dataset");
   int64_t hits = 0;
   for (int64_t i = 0; i < n_images; ++i) {
-    // Per-image arena generation: the clean copy, attack iterate, staging
-    // batch, and logits all die at the end of the iteration.
-    const mem::Scope image_scope;
     const Tensor clean = ds.image(i);
     const int64_t label = ds.label(i);
     const Tensor x = eps > 0.0f
                          ? (attack == Attack::Fgsm ? fgsm(net, clean, label, eps)
                                                    : pgd(net, clean, label, eps, eps / 4.0f, 8))
                          : ds.image(i);
-    Tensor batch = Tensor::scratch(Shape{1, x.size(0), x.size(1), x.size(2)});
+    Tensor batch(Shape{1, x.size(0), x.size(1), x.size(2)});
     batch.set_slice0(0, x);
     int64_t pred = 0;
     argmax_rows_into(net.forward(batch, /*train=*/false), {&pred, 1});

@@ -43,12 +43,8 @@ Batch make_batch(const Dataset& ds, std::span<const int64_t> indices,
   auto first = ds.image(indices[0]);
   const auto d = first.shape().dims();
   const bool seg = ds.segmentation();
-  // Built as scratch locals and moved into the aggregate so the batch keeps
-  // its arena/pool backing; assigning into a default-constructed Batch would
-  // copy both buffers back onto the heap.
-  Tensor images =
-      Tensor::scratch(Shape{static_cast<int64_t>(indices.size()), d[0], d[1], d[2]});
-  LabelVec labels(seg ? 0 : indices.size(), 0, mem::ScratchAllocator<int64_t>(true));
+  Tensor images(Shape{static_cast<int64_t>(indices.size()), d[0], d[1], d[2]});
+  std::vector<int64_t> labels(seg ? 0 : indices.size(), 0);
 
   for (size_t b = 0; b < indices.size(); ++b) {
     auto img = (b == 0) ? std::move(first) : ds.image(indices[b]);
@@ -59,7 +55,7 @@ Batch make_batch(const Dataset& ds, std::span<const int64_t> indices,
     images.set_slice0(static_cast<int64_t>(b), img);
     if (seg) {
       auto dl = ds.dense_labels(indices[b]);
-      labels.insert(labels.end(), dl.begin(), dl.end());  // rp-lint: allow(R12) segmentation label append; grows through the lane pool, bounded by batch size
+      labels.insert(labels.end(), dl.begin(), dl.end());
     } else {
       labels[b] = ds.label(indices[b]);
     }

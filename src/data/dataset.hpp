@@ -45,7 +45,7 @@ class InMemoryDataset final : public Dataset {
                   std::vector<std::vector<int64_t>> dense, std::string distribution);
 
   int64_t size() const override { return images_.size(0); }
-  Tensor image(int64_t i) const override { return images_.slice0_scratch(i); }
+  Tensor image(int64_t i) const override { return images_.slice0(i); }
   int64_t label(int64_t i) const override { return labels_[static_cast<size_t>(i)]; }
   std::vector<int64_t> dense_labels(int64_t i) const override;
   bool segmentation() const override { return !dense_.empty(); }
@@ -63,16 +63,10 @@ class InMemoryDataset final : public Dataset {
 /// Per-sample image transform (augmentation, corruption, noise).
 using ImageTransform = std::function<Tensor(const Tensor& image, Rng& rng)>;
 
-/// Batch label storage: scratch-routed like batch image tensors, so the
-/// per-batch label buffer recycles lane-pool (or arena) blocks instead of
-/// hitting the heap every batch. Converts to std::span<const int64_t> at
-/// every consumer.
-using LabelVec = std::vector<int64_t, mem::ScratchAllocator<int64_t>>;
-
 /// A materialized minibatch.
 struct Batch {
-  Tensor images;                                       ///< [B, C, H, W]
-  LabelVec labels{mem::ScratchAllocator<int64_t>(true)};  ///< B entries, or B*H*W for segmentation
+  Tensor images;                ///< [B, C, H, W]
+  std::vector<int64_t> labels;  ///< B entries, or B*H*W for segmentation
 };
 
 /// Assembles a batch from dataset rows `indices`, applying `transform` (if

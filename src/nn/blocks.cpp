@@ -58,7 +58,7 @@ Tensor ResidualBlock::forward(const Tensor& x, bool train) {
 }
 
 Tensor ResidualBlock::backward(const Tensor& dy) {
-  Tensor g = Tensor::scratch_copy(dy.shape(), dy.data().data());
+  Tensor g = dy;
   {
     const auto sd = cached_sum_.data();
     auto gd = g.data();
@@ -124,8 +124,8 @@ Tensor DenseLayer::backward(const Tensor& dy) {
   // channels) and the branch part (remaining channels).
   const int64_t n = dy.size(0), c = dy.size(1), plane = dy.size(2) * dy.size(3);
   const int64_t cb = c - in_c_;
-  Tensor dx = Tensor::scratch(Shape{n, in_c_, dy.size(2), dy.size(3)});
-  Tensor dbranch = Tensor::scratch(Shape{n, cb, dy.size(2), dy.size(3)});
+  Tensor dx(Shape{n, in_c_, dy.size(2), dy.size(3)});
+  Tensor dbranch(Shape{n, cb, dy.size(2), dy.size(3)});
   const float* dyd = dy.data().data();
   float* dxd = dx.data().data();
   float* dbd = dbranch.data().data();

@@ -66,7 +66,6 @@ Conv2d::Conv2d(std::string name, int64_t in_c, int64_t out_c, int64_t k, int64_t
       in_stat_(static_cast<size_t>(in_c), 0.0f),
       out_stat_(static_cast<size_t>(out_c), 0.0f) {}
 
-// rp-lint: hot — marks the name-merged `forward` node: every layer forward
 Tensor Conv2d::forward(const Tensor& x, bool /*train*/) {
   check_4d(x, "Conv2d");
   const int64_t n = x.size(0);
@@ -79,18 +78,17 @@ Tensor Conv2d::forward(const Tensor& x, bool /*train*/) {
   const int64_t oplane = oh * ow;
   const int64_t isz = geom_.in_c * geom_.in_h * geom_.in_w;
   const float* xd = x.data().data();
-  Tensor y = Tensor::scratch(Shape{n, out_c_, oh, ow});
+  Tensor y(Shape{n, out_c_, oh, ow});
   float* yd = y.data().data();
 
   // Samples are independent (each writes its own output plane), so the
   // im2col+GEMM loop is parallel over samples. Every chunk owns one set of
-  // scratch tensors (pool-backed off the arena thread, arena-backed on it) —
-  // nested parallel loops run inline, so a lane never shares these with
-  // another forward in flight.
+  // scratch tensors — nested parallel loops run inline, so a lane never
+  // shares these with another forward in flight.
   parallel::parallel_for(0, n, per_lane_grain(n), [&](int64_t i0, int64_t i1) {
-    Tensor x_n = Tensor::scratch(Shape{geom_.in_c, geom_.in_h, geom_.in_w});
-    Tensor cols = Tensor::scratch(Shape{geom_.patch(), oplane});
-    Tensor y_n = Tensor::scratch(Shape{out_c_, oplane});
+    Tensor x_n(Shape{geom_.in_c, geom_.in_h, geom_.in_w});
+    Tensor cols(Shape{geom_.patch(), oplane});
+    Tensor y_n(Shape{out_c_, oplane});
     for (int64_t i = i0; i < i1; ++i) {
       std::memcpy(x_n.data().data(), xd + i * isz, static_cast<size_t>(isz) * sizeof(float));
       im2col(x_n, geom_, cols);
@@ -141,7 +139,6 @@ Tensor Conv2d::forward(const Tensor& x, bool /*train*/) {
   return y;
 }
 
-// rp-lint: hot — marks the name-merged `backward` node: every layer backward
 Tensor Conv2d::backward(const Tensor& dy) {
   const int64_t n = cached_input_.size(0);
   const int64_t oh = geom_.out_h(), ow = geom_.out_w();
@@ -151,7 +148,7 @@ Tensor Conv2d::backward(const Tensor& dy) {
   const int64_t isz = geom_.in_c * geom_.in_h * geom_.in_w;
   const float* xd = cached_input_.data().data();
   const float* dyd = dy.data().data();
-  Tensor dx = Tensor::scratch(cached_input_.shape());
+  Tensor dx(cached_input_.shape());
 
   // Parallel over samples (same recipe as evaluate()): each sample's dW and
   // db contribution is computed independently — a beta=0 GEMM into per-chunk
@@ -159,14 +156,14 @@ Tensor Conv2d::backward(const Tensor& dy) {
   // gradients below runs in fixed sample order. Partial values depend only
   // on the sample, never on chunking, so gradients are bit-identical for any
   // RP_THREADS. dx slices are disjoint per sample and written in place.
-  Tensor dw_partial = Tensor::scratch(Shape{n, wsize});
-  Tensor db_partial = Tensor::scratch(Shape{use_bias_ ? n * out_c_ : int64_t{0}});
+  Tensor dw_partial(Shape{n, wsize});
+  Tensor db_partial(Shape{use_bias_ ? n * out_c_ : int64_t{0}});
   float* dwp = dw_partial.data().data();
   float* dbp = db_partial.data().data();
 
   // Wᵀ once per call, so the per-sample dcols GEMM runs untransposed (gemm's
   // trans_a path would build this same copy for every sample).
-  Tensor wt = Tensor::scratch(Shape{patch, out_c_});
+  Tensor wt(Shape{patch, out_c_});
   const float* wd = weight_.value.data().data();
   float* wtd = wt.data().data();
   for (int64_t o = 0; o < out_c_; ++o) {
@@ -174,12 +171,12 @@ Tensor Conv2d::backward(const Tensor& dy) {
   }
 
   parallel::parallel_for(0, n, per_lane_grain(n), [&](int64_t i0, int64_t i1) {
-    Tensor x_n = Tensor::scratch(Shape{geom_.in_c, geom_.in_h, geom_.in_w});
-    Tensor dy_n = Tensor::scratch(Shape{out_c_, oplane});
-    Tensor cols = Tensor::scratch(Shape{patch, oplane});
-    Tensor dcols = Tensor::scratch(Shape{patch, oplane});
-    Tensor dw_n = Tensor::scratch(Shape{out_c_, patch});
-    Tensor dx_n = Tensor::scratch(Shape{geom_.in_c, geom_.in_h, geom_.in_w});
+    Tensor x_n(Shape{geom_.in_c, geom_.in_h, geom_.in_w});
+    Tensor dy_n(Shape{out_c_, oplane});
+    Tensor cols(Shape{patch, oplane});
+    Tensor dcols(Shape{patch, oplane});
+    Tensor dw_n(Shape{out_c_, patch});
+    Tensor dx_n(Shape{geom_.in_c, geom_.in_h, geom_.in_w});
     for (int64_t i = i0; i < i1; ++i) {
       std::memcpy(dy_n.data().data(), dyd + i * out_c_ * oplane,
                   static_cast<size_t>(out_c_ * oplane) * sizeof(float));
@@ -277,7 +274,7 @@ Tensor Linear::forward(const Tensor& x, bool /*train*/) {
   }
   cached_input_ = x;
   const int64_t n = x.size(0);
-  Tensor y = Tensor::scratch(Shape{n, out_});
+  Tensor y(Shape{n, out_});
   if (sparse_) {
     sparse::rhs_matmul_into(sparse_w_, x, y);
   } else {
@@ -314,7 +311,7 @@ Tensor Linear::backward(const Tensor& dy) {
     const float* dyd = dy.data().data();
     for (int64_t i = 0; i < n; ++i) simd::add(bg, dyd + i * out_, out_);
   }
-  Tensor dx = Tensor::scratch(Shape{n, in_});
+  Tensor dx(Shape{n, in_});
   // rp-lint: allow(R9) training backward: gradients need the dense weight
   gemm(dy, weight_.value, dx);
   return dx;
@@ -374,12 +371,9 @@ Tensor BatchNorm2d::forward(const Tensor& x, bool train) {
   const float count = static_cast<float>(n * plane);
   flops_ = 2 * c_ * plane;
 
-  // Cross-kind assignment from a scratch temp never steals the pointer: it
-  // element-copies into the member's heap buffer, so after the first batch
-  // this reuses capacity and performs no heap allocation.
-  cached_xhat_ = Tensor::scratch(x.shape());
+  cached_xhat_ = Tensor(x.shape());
   cached_inv_std_.assign(static_cast<size_t>(c_), 0.0f);
-  Tensor y = Tensor::scratch(x.shape());
+  Tensor y(x.shape());
   const float* xd = x.data().data();
   float* xh = cached_xhat_.data().data();
   float* yd = y.data().data();
@@ -433,7 +427,7 @@ Tensor BatchNorm2d::backward(const Tensor& dy) {
   const int64_t n = dy.size(0), h = dy.size(2), w = dy.size(3);
   const int64_t plane = h * w;
   const float count = static_cast<float>(n * plane);
-  Tensor dx = Tensor::scratch(dy.shape());
+  Tensor dx(dy.shape());
   const float* dyd = dy.data().data();
   const float* xh = cached_xhat_.data().data();
   float* dxd = dx.data().data();
@@ -485,13 +479,13 @@ void BatchNorm2d::collect_buffers(std::vector<std::pair<std::string, Tensor*>>& 
 
 Tensor ReLU::forward(const Tensor& x, bool /*train*/) {
   cached_input_ = x;
-  Tensor y = Tensor::scratch_copy(x.shape(), x.data().data());
+  Tensor y = x;
   simd::relu(y.data().data(), y.numel());
   return y;
 }
 
 Tensor ReLU::backward(const Tensor& dy) {
-  Tensor dx = Tensor::scratch_copy(dy.shape(), dy.data().data());
+  Tensor dx = dy;
   simd::relu_grad(cached_input_.data().data(), dx.data().data(), dx.numel());
   return dx;
 }
@@ -507,7 +501,7 @@ Tensor MaxPool2d::forward(const Tensor& x, bool /*train*/) {
   }
   in_shape_ = x.shape();
   const int64_t oh = h / 2, ow = w / 2;
-  Tensor y = Tensor::scratch(Shape{n, c, oh, ow});
+  Tensor y(Shape{n, c, oh, ow});
   arg_.assign(static_cast<size_t>(y.numel()), 0);
   const float* xd = x.data().data();
   float* yd = y.data().data();
@@ -536,7 +530,7 @@ Tensor MaxPool2d::forward(const Tensor& x, bool /*train*/) {
 }
 
 Tensor MaxPool2d::backward(const Tensor& dy) {
-  Tensor dx = Tensor::scratch(in_shape_);
+  Tensor dx(in_shape_);
   float* dxd = dx.data().data();
   const float* dyd = dy.data().data();
   for (int64_t i = 0; i < dy.numel(); ++i) {
@@ -551,7 +545,7 @@ Tensor GlobalAvgPool::forward(const Tensor& x, bool /*train*/) {
   check_4d(x, "GlobalAvgPool");
   in_shape_ = x.shape();
   const int64_t n = x.size(0), c = x.size(1), plane = x.size(2) * x.size(3);
-  Tensor y = Tensor::scratch(Shape{n, c});
+  Tensor y(Shape{n, c});
   const float* xd = x.data().data();
   for (int64_t i = 0; i < n; ++i) {
     for (int64_t ch = 0; ch < c; ++ch) {
@@ -565,7 +559,7 @@ Tensor GlobalAvgPool::forward(const Tensor& x, bool /*train*/) {
 }
 
 Tensor GlobalAvgPool::backward(const Tensor& dy) {
-  Tensor dx = Tensor::scratch(in_shape_);
+  Tensor dx(in_shape_);
   const int64_t n = in_shape_[0], c = in_shape_[1], plane = in_shape_[2] * in_shape_[3];
   float* dxd = dx.data().data();
   const float inv = 1.0f / static_cast<float>(plane);
@@ -583,13 +577,11 @@ Tensor GlobalAvgPool::backward(const Tensor& dy) {
 
 Tensor Flatten::forward(const Tensor& x, bool /*train*/) {
   in_shape_ = x.shape();
-  // scratch_copy instead of reshape(): same single copy, but the output is
-  // always arena/pool-backed even when the input is the heap-kind batch.
-  return Tensor::scratch_copy(Shape{x.size(0), x.numel() / x.size(0)}, x.data().data());
+  return x.reshape(Shape{x.size(0), x.numel() / x.size(0)});
 }
 
 Tensor Flatten::backward(const Tensor& dy) {
-  return Tensor::scratch_copy(in_shape_, dy.data().data());
+  return dy.reshape(in_shape_);
 }
 
 // ----- Upsample2x --------------------------------------------------------------------
@@ -598,7 +590,7 @@ Tensor Upsample2x::forward(const Tensor& x, bool /*train*/) {
   check_4d(x, "Upsample2x");
   in_shape_ = x.shape();
   const int64_t n = x.size(0), c = x.size(1), h = x.size(2), w = x.size(3);
-  Tensor y = Tensor::scratch(Shape{n, c, 2 * h, 2 * w});
+  Tensor y(Shape{n, c, 2 * h, 2 * w});
   const float* xd = x.data().data();
   float* yd = y.data().data();
   for (int64_t i = 0; i < n * c; ++i) {
@@ -619,7 +611,7 @@ Tensor Upsample2x::forward(const Tensor& x, bool /*train*/) {
 }
 
 Tensor Upsample2x::backward(const Tensor& dy) {
-  Tensor dx = Tensor::scratch(in_shape_);
+  Tensor dx(in_shape_);
   const int64_t n = in_shape_[0], c = in_shape_[1], h = in_shape_[2], w = in_shape_[3];
   const float* dyd = dy.data().data();
   float* dxd = dx.data().data();
@@ -639,14 +631,14 @@ Tensor Upsample2x::backward(const Tensor& dy) {
 // ----- Sequential --------------------------------------------------------------------
 
 Tensor Sequential::forward(const Tensor& x, bool train) {
-  if (children_.empty()) return Tensor::scratch_copy(x.shape(), x.data().data());
+  if (children_.empty()) return x;
   auto y = children_.front()->forward(x, train);
   for (std::size_t i = 1; i < children_.size(); ++i) y = children_[i]->forward(y, train);
   return y;
 }
 
 Tensor Sequential::backward(const Tensor& dy) {
-  if (children_.empty()) return Tensor::scratch_copy(dy.shape(), dy.data().data());
+  if (children_.empty()) return dy;
   auto it = children_.rbegin();
   auto g = (*it)->backward(dy);
   for (++it; it != children_.rend(); ++it) g = (*it)->backward(g);
@@ -689,7 +681,7 @@ Tensor concat_channels(const Tensor& a, const Tensor& b) {
                                 " / " + b.shape().to_string());
   }
   const int64_t n = a.size(0), ca = a.size(1), cb = b.size(1), plane = a.size(2) * a.size(3);
-  Tensor y = Tensor::scratch(Shape{n, ca + cb, a.size(2), a.size(3)});
+  Tensor y(Shape{n, ca + cb, a.size(2), a.size(3)});
   const float* ad = a.data().data();
   const float* bd = b.data().data();
   float* yd = y.data().data();

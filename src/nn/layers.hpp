@@ -179,7 +179,7 @@ class Sequential final : public Module {
   explicit Sequential(std::string name = "seq") : name_(std::move(name)) {}
 
   Sequential& add(ModulePtr m) {
-    children_.push_back(std::move(m));  // rp-lint: allow(R12) network construction time; hot only via name merge with tensor add()
+    children_.push_back(std::move(m));
     return *this;
   }
 

@@ -16,9 +16,6 @@ LossResult softmax_cross_entropy(const Tensor& logits, std::span<const int64_t> 
   if (static_cast<int64_t>(labels.size()) != n) {
     throw std::invalid_argument("softmax_cross_entropy: label count mismatch");
   }
-  // Built as a local and moved into the aggregate: move-construction keeps
-  // the scratch (arena/pool) buffer, where assigning to a default-heap
-  // member would deep-copy it back onto the heap.
   auto dl = softmax_rows(logits);
   double loss = 0.0;
   const float invn = 1.0f / static_cast<float>(n);
@@ -43,8 +40,8 @@ LossResult pixel_cross_entropy(const Tensor& logits, std::span<const int64_t> la
     throw std::invalid_argument("pixel_cross_entropy: label count mismatch");
   }
 
-  Tensor dl = Tensor::scratch(logits.shape());
-  Tensor probs = Tensor::scratch(Shape{c});
+  Tensor dl(logits.shape());
+  Tensor probs(Shape{c});
   const float* ld = logits.data().data();
   float* gd = dl.data().data();
   float* pb = probs.data().data();

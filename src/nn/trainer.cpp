@@ -62,13 +62,6 @@ class SparseScope {
   bool on_;
 };
 
-/// Working-set hint for the size-hinted mem::Scope: under RP_ARENA=auto a
-/// model this size keeps its per-iteration scratch in the lane pool when it
-/// is tiny, and gets a real arena generation otherwise.
-std::size_t arena_hint(const Network& net) {
-  return static_cast<std::size_t>(net.param_count()) * sizeof(float);
-}
-
 }  // namespace
 
 void train(Network& net, const data::Dataset& ds, const TrainConfig& cfg) {
@@ -77,7 +70,6 @@ void train(Network& net, const data::Dataset& ds, const TrainConfig& cfg) {
   Sgd opt(net.params(), cfg.sgd);
   const int64_t n = ds.size();
   const bool seg = ds.segmentation();
-  const std::size_t hint = arena_hint(net);
   obs::count(obs::Counter::kTrainSamples, n * cfg.epochs);
 
   for (int epoch = 0; epoch < cfg.epochs; ++epoch) {
@@ -87,11 +79,6 @@ void train(Network& net, const data::Dataset& ds, const TrainConfig& cfg) {
     int64_t batches = 0;
 
     for (int64_t start = 0; start < n; start += cfg.batch_size) {
-      // One arena generation per optimizer step: everything scratch-backed
-      // below (batch staging, activations, gradients) dies before the scope
-      // resets, so steady-state iterations never touch the heap.
-      const obs::Span arena_span("mem.arena");
-      const mem::Scope arena_scope(hint);
       const int64_t end = std::min<int64_t>(start + cfg.batch_size, n);
       std::span<const int64_t> idx(order.data() + start, static_cast<size_t>(end - start));
       data::Batch batch =
@@ -114,7 +101,6 @@ void train(Network& net, const data::Dataset& ds, const TrainConfig& cfg) {
   }
 }
 
-// rp-lint: hot
 EvalResult evaluate(Network& net, const data::Dataset& ds, int batch_size) {
   if (batch_size <= 0) {
     throw std::invalid_argument("nn::evaluate: batch_size must be positive, got " +
@@ -134,34 +120,20 @@ EvalResult evaluate(Network& net, const data::Dataset& ds, int batch_size) {
     int64_t hits = 0, total = 0;
     std::vector<int64_t> pred, truth;
   };
-  // Pool-routed so repeated evaluate() calls recycle the same lane-pool
-  // block instead of re-allocating the partial array every call.
-  std::vector<BatchOut, mem::ScratchAllocator<BatchOut>> partial(
-      static_cast<size_t>(nbatches), mem::ScratchAllocator<BatchOut>(true));
+  std::vector<BatchOut> partial(static_cast<size_t>(nbatches));
 
   const int shards = parallel::shard_count(nbatches);
   ShardNets nets(net, shards);
   const SparseScope sparse_scope(net, nets);
-  const std::size_t hint = arena_hint(net);
   parallel::run_shards(shards, nbatches, [&](int s, int64_t b0, int64_t b1) {
     Network& worker = nets[s];
-    std::vector<int64_t, mem::ScratchAllocator<int64_t>> idx{
-        mem::ScratchAllocator<int64_t>(true)};
-    std::vector<int64_t, mem::ScratchAllocator<int64_t>> pred_buf{
-        mem::ScratchAllocator<int64_t>(true)};
+    std::vector<int64_t> idx, pred_buf;
     for (int64_t b = b0; b < b1; ++b) {
       const int64_t start = b * batch_size;
       const int64_t end = std::min<int64_t>(start + batch_size, n);
-      // idx / pred_buf persist across batches, so they must (re)allocate
-      // BEFORE the scope opens: outside a scope the engine routes them to
-      // the lane pool, whose blocks survive arena resets.
-      idx.resize(static_cast<size_t>(end - start));  // rp-lint: allow(R12) index scratch reused across batches; grows to batch size once, through the lane pool
-      pred_buf.resize(static_cast<size_t>(end - start));  // rp-lint: allow(R12) prediction scratch reused across batches; grows to batch size once, through the lane pool
+      idx.resize(static_cast<size_t>(end - start));
+      pred_buf.resize(static_cast<size_t>(end - start));
       std::iota(idx.begin(), idx.end(), start);
-      // Per-batch arena generation on this lane: batch staging, activations,
-      // and loss gradients all die before the reset below.
-      const obs::Span arena_span("mem.arena");
-      const mem::Scope arena_scope(hint);
       data::Batch batch = data::make_batch(ds, idx);
 
       auto logits = worker.forward(batch.images, /*train=*/false);
@@ -192,8 +164,8 @@ EvalResult evaluate(Network& net, const data::Dataset& ds, int batch_size) {
     loss_sum += o.loss;
     hits += o.hits;
     total += o.total;
-    all_pred.insert(all_pred.end(), o.pred.begin(), o.pred.end());  // rp-lint: allow(R12) results gather after the join, once per eval call
-    all_truth.insert(all_truth.end(), o.truth.begin(), o.truth.end());  // rp-lint: allow(R12) results gather after the join, once per eval call
+    all_pred.insert(all_pred.end(), o.pred.begin(), o.pred.end());
+    all_truth.insert(all_truth.end(), o.truth.begin(), o.truth.end());
   }
 
   EvalResult r;
@@ -206,7 +178,6 @@ EvalResult evaluate(Network& net, const data::Dataset& ds, int batch_size) {
   return r;
 }
 
-// rp-lint: hot
 Tensor predict(Network& net, const Tensor& images, int batch_size) {
   if (batch_size <= 0) {
     throw std::invalid_argument("nn::predict: batch_size must be positive, got " +
@@ -216,33 +187,28 @@ Tensor predict(Network& net, const Tensor& images, int batch_size) {
   const int64_t n = images.size(0);
   obs::count(obs::Counter::kEvalSamples, n);
   const int64_t nbatches = (n + batch_size - 1) / batch_size;
-  if (nbatches == 0) return Tensor();  // rp-lint: allow(R12) empty-input early return, never on the batch loop path
+  if (nbatches == 0) return Tensor();
 
   const int shards = parallel::shard_count(nbatches - 1);
   ShardNets nets(net, shards);
   const SparseScope sparse_scope(net, nets);
-  const std::size_t hint = arena_hint(net);
 
   const int64_t rowsz = images.numel() / n;
   const float* src = images.data().data();
 
   // Batch 0 runs on the caller first to learn the per-sample logit extent.
-  // The stitched result is heap-allocated once — it is returned to callers
-  // who may hold it across scope generations — and every batch memcpys its
-  // rows straight into it, so no per-batch logits survive their scope.
-  Tensor out;  // rp-lint: allow(R12) empty declaration, zero elements; storage lands in the once-per-call assignment below
+  // The stitched result is allocated once and every batch memcpys its rows
+  // straight into it.
+  Tensor out;
   int64_t lrow = 0;
   {
-    const obs::Span arena_span("mem.arena");
-    const mem::Scope arena_scope(hint);
     const int64_t end = std::min<int64_t>(batch_size, n);
-    Tensor chunk = Tensor::scratch_copy(
-        Shape{end, images.size(1), images.size(2), images.size(3)}, src);
+    Tensor chunk(Shape{end, images.size(1), images.size(2), images.size(3)}, src);
     auto logits = net.forward(chunk, /*train=*/false);
     lrow = logits.numel() / logits.size(0);
     std::vector<int64_t> dims(logits.shape().dims().begin(), logits.shape().dims().end());
     dims[0] = n;
-    out = Tensor(Shape(dims));  // rp-lint: allow(R12) stitched output allocated once per predict call
+    out = Tensor(Shape(dims));
     std::memcpy(out.data().data(), logits.data().data(),
                 static_cast<size_t>(logits.numel()) * sizeof(float));
   }
@@ -252,13 +218,11 @@ Tensor predict(Network& net, const Tensor& images, int batch_size) {
     Network& worker = nets[s];
     for (int64_t bb = b0; bb < b1; ++bb) {
       const int64_t b = bb + 1;
-      // Per-batch arena generation on this lane; batch `b` owns rows
-      // [b*batch_size, end) of `out`, disjoint across shards.
-      const obs::Span arena_span("mem.arena");
-      const mem::Scope arena_scope(hint);
+      // Batch `b` owns rows [b*batch_size, end) of `out`, disjoint across
+      // shards.
       const int64_t start = b * batch_size;
       const int64_t end = std::min<int64_t>(start + batch_size, n);
-      Tensor chunk = Tensor::scratch_copy(
+      Tensor chunk(
           Shape{end - start, images.size(1), images.size(2), images.size(3)},
           src + start * rowsz);
       auto logits = worker.forward(chunk, /*train=*/false);
@@ -269,7 +233,6 @@ Tensor predict(Network& net, const Tensor& images, int batch_size) {
   return out;
 }
 
-// rp-lint: hot
 void profile_activations(Network& net, const data::Dataset& ds, int64_t max_samples) {
   const obs::Span span("nn.profile_activations");
   const int64_t n = std::min<int64_t>(ds.size(), max_samples);
@@ -279,23 +242,17 @@ void profile_activations(Network& net, const data::Dataset& ds, int64_t max_samp
   const int shards = parallel::shard_count(nchunks);
   ShardNets nets(net, shards);
   const SparseScope sparse_scope(net, nets);
-  const std::size_t hint = arena_hint(net);
   net.set_profiling(true);
   for (auto& c : nets.clones()) c->set_profiling(true);
 
   parallel::run_shards(shards, nchunks, [&](int s, int64_t c0, int64_t c1) {
     Network& worker = nets[s];
-    std::vector<int64_t, mem::ScratchAllocator<int64_t>> idx{
-        mem::ScratchAllocator<int64_t>(true)};
+    std::vector<int64_t> idx;
     for (int64_t chunk = c0; chunk < c1; ++chunk) {
       const int64_t start = chunk * kChunk;
       const int64_t end = std::min(start + kChunk, n);
-      // Resized before the scope opens so the buffer lives on the lane pool
-      // (survives arena resets); it is reused across chunks.
-      idx.resize(static_cast<size_t>(end - start));  // rp-lint: allow(R12) index scratch reused across chunks; grows to chunk size once, through the lane pool
+      idx.resize(static_cast<size_t>(end - start));
       std::iota(idx.begin(), idx.end(), start);
-      const obs::Span arena_span("mem.arena");
-      const mem::Scope arena_scope(hint);
       data::Batch batch = data::make_batch(ds, idx);
       worker.forward(batch.images, /*train=*/false);
     }

@@ -196,9 +196,6 @@ const char* counter_name(Counter c) {
     case Counter::kGemmSparseCalls: return "gemm.sparse_calls";
     case Counter::kSparseNnz: return "sparse.nnz";
     case Counter::kSparseBytesSaved: return "sparse.bytes_saved";
-    case Counter::kMemArenaBytes: return "mem.arena_bytes";
-    case Counter::kMemArenaResets: return "mem.arena_resets";
-    case Counter::kMemPoolHits: return "mem.pool_hits";
     case Counter::kMemHeapAllocsHot: return "mem.heap_allocs_hot";
     case Counter::kServeRequests: return "serve.requests";
     case Counter::kServeBatches: return "serve.batches";

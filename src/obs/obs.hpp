@@ -41,13 +41,10 @@ enum class Counter : int {
   kPoolChunks,          ///< parallel_for chunks executed (all lanes)
   kTrainSamples,        ///< samples seen by nn::train (per epoch pass)
   kEvalSamples,         ///< samples scored by nn::evaluate
-  kGemmSparseCalls,     ///< sparse-engine matmuls dispatched (csr/block layouts)
+  kGemmSparseCalls,     ///< sparse-engine matmuls dispatched (CSR layout)
   kSparseNnz,           ///< nonzeros in weights compiled to a sparse layout
   kSparseBytesSaved,    ///< dense bytes minus compiled bytes, summed over compiles
-  kMemArenaBytes,       ///< bytes served by arena bump allocations
-  kMemArenaResets,      ///< arena scope resets (iteration boundaries)
-  kMemPoolHits,         ///< scratch requests served from a pool free list
-  kMemHeapAllocsHot,    ///< scratch requests that fell through to the heap
+  kMemHeapAllocsHot,    ///< vestigial, always 0: kept only because perfbench reads it
   kServeRequests,       ///< requests admitted by the serving engine
   kServeBatches,        ///< coalesced batches the serving engine executed
   kServeRejects,        ///< requests rejected by admission control (queue full)

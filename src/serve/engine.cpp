@@ -139,7 +139,7 @@ std::optional<Engine::Ticket> Engine::submit(const Tensor& image, const std::str
   s.state = SlotState::kQueued;
   s.seq = ++next_seq_;
   s.tag = tag;
-  s.input.resize(image.data().size());  // rp-lint: allow(R12) request staging buffer; grows to the task's sample size once per slot, then recycles
+  s.input.resize(image.data().size());
   std::memcpy(s.input.data(), image.data().data(), image.data().size() * sizeof(float));
   // Wall clock only shapes *batch boundaries* (which requests are coalesced
   // together); per-sample logits are batch-composition-invariant, so no
@@ -262,7 +262,6 @@ void Engine::execute(const std::vector<int>& batch) {
   }
 }
 
-// rp-lint: hot
 void Engine::run_batch(const Variant& variant, const std::vector<int>& group) {
   const obs::Span span("serve.batch");
   obs::count(obs::Counter::kServeBatches);
@@ -270,26 +269,19 @@ void Engine::run_batch(const Variant& variant, const std::vector<int>& group) {
   const int64_t k = static_cast<int64_t>(group.size());
   const int64_t row = t.in_c * t.in_h * t.in_w;
 
-  // One arena generation per batch: the staged input tensor and every
-  // forward-pass temporary die before the scope resets — steady-state
-  // serving never touches the heap (the response rows live in per-slot
-  // buffers that grew once).
-  const mem::Scope arena_scope(
-      static_cast<std::size_t>(variant.net->param_count()) * sizeof(float));
-  Tensor batch = Tensor::scratch(Shape{k, t.in_c, t.in_h, t.in_w});
+  Tensor batch(Shape{k, t.in_c, t.in_h, t.in_w});
   float* bd = batch.data().data();
   for (int64_t i = 0; i < k; ++i) {
     std::memcpy(bd + i * row, slots_[static_cast<size_t>(group[static_cast<size_t>(i)])].input.data(),
                 static_cast<size_t>(row) * sizeof(float));
   }
 
-  // rp-lint: allow(R12) forward's result is arena scratch inside this flush's mem::Scope (heap only when the engine is off)
   Tensor logits = variant.net->forward(batch, /*train=*/false);
   const int64_t lrow = logits.numel() / k;
   const float* ld = logits.data().data();
   for (int64_t i = 0; i < k; ++i) {
     Slot& s = slots_[static_cast<size_t>(group[static_cast<size_t>(i)])];
-    s.output.resize(static_cast<size_t>(lrow));  // rp-lint: allow(R12) response row buffer; grows to the logits extent once per slot, then recycles
+    s.output.resize(static_cast<size_t>(lrow));
     std::memcpy(s.output.data(), ld + i * lrow, static_cast<size_t>(lrow) * sizeof(float));
     s.out_dims.assign(logits.shape().dims().begin() + 1, logits.shape().dims().end());
   }

@@ -69,12 +69,11 @@ struct RouteInfo {
 /// norm), so a request's response is memcmp-identical to a direct
 /// nn::predict on the same variant no matter which requests it shared a
 /// batch with. tests/test_serve.cpp enforces this across RP_THREADS ×
-/// RP_SPARSE × RP_ARENA.
+/// RP_SPARSE.
 ///
 /// Memory: request staging buffers and response rows live in per-slot
 /// vectors that grow once to the task's sizes; batch assembly and forward
-/// temporaries are mem::Scope scratch — steady-state serving performs no
-/// heap allocation on the request path (the PR 8 lane pools absorb it).
+/// temporaries are plain heap tensors.
 class Engine {
  public:
   /// The registry and router must outlive the engine. Throws

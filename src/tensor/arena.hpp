@@ -1,200 +1,13 @@
 #pragma once
 
-#include <cstddef>
-#include <cstdint>
-#include <new>
-#include <string>
-#include <type_traits>
-
-// rp::mem — the memory-discipline engine: per-lane bump arenas with
-// iteration-boundary resets, plus a size-bucketed scratch pool for lanes
-// running outside an arena scope. Together they back Tensor::scratch(), the
-// sanctioned construction path for hot-loop temporaries (DESIGN.md "Memory
-// discipline"; rp-lint R12 treats it as allocation-free).
-//
-// Contract: results are bit-identical with the engine on or off. Every
-// scratch tensor is zero-filled on acquisition exactly like Tensor(Shape),
-// and the engine only changes *where* the bytes live, never a single
-// arithmetic operation. The memcmp tests in tests/test_arena.cpp enforce
-// this across RP_ARENA × RP_THREADS × RP_SPARSE.
-//
-// Ownership: each pool lane (caller thread + worker lanes) owns one arena
-// and one pool free list — no cross-thread bumping, no locks on the hot
-// path. A mem::Scope marks the owning lane's arena on entry and resets it on
-// exit, so everything bumped inside one iteration is reclaimed in O(1) at
-// the iteration boundary. Lanes without an active scope (e.g. per-sample
-// lambdas on pool workers) fall back to the pool: pow2-bucketed free lists
-// that reach steady state after the first batch and then recycle forever.
-//
-// Selection: RP_ARENA=off forces plain heap tensors everywhere (the exact
-// pre-engine behavior), =on enables the engine unconditionally, and =auto
-// (the default) enables it with a size heuristic: a Scope constructed with a
-// model-size hint below kAutoArenaMinBytes stays inert, so tiny models skip
-// the arena's chunk reservation and run off the lane pool, which reaches
-// steady state after the first batch anyway. Mirrors the RP_SIMD / RP_SPARSE
-// escape hatches; every mode is bit-identical by construction.
+// Exists only because the end-to-end benchmark (perfbench/main.cpp) names it
+// in its provenance record. Tensors live on the plain heap and there is no
+// arena engine, so the reported mode is always "off".
 namespace rp::mem {
 
-// ---------------------------------------------------------------------------
-// Mode — the RP_ARENA escape hatch.
+enum class Mode { kOff = 0 };
 
-enum class Mode { kOff = 0, kOn = 1, kAuto = 2 };
-
-/// Mode resolved once from RP_ARENA (or the last force()).
-Mode mode();
-
-/// Test hooks: pin the mode / restore env resolution — same shape as
-/// simd::force / sparse::force.
-void force(Mode m);
-void reset();
-
-/// Spec name of a mode ("off", "on", "auto").
-const char* mode_name(Mode m);
-
-/// Parses an RP_ARENA spec: "off"/"0" -> kOff, "on"/"1" -> kOn,
-/// "auto" -> kAuto. Anything else throws std::invalid_argument naming
-/// RP_ARENA — at the env-resolution site that means exit(2), never a silent
-/// fall-through to auto.
-Mode parse_mode_spec(const std::string& text);
-
-/// True when scratch requests route through the arena/pool engine.
-inline bool engine_on() { return mode() != Mode::kOff; }
-
-// ---------------------------------------------------------------------------
-// Scope — RAII iteration boundary.
-
-/// RP_ARENA=auto activation threshold. A model whose parameters fit in less
-/// than this keeps its whole working set inside a handful of pool buckets;
-/// reserving a >= 1 MiB arena chunk per lane for it is pure overhead. Models
-/// at or above the threshold get the arena exactly as under =on.
-inline constexpr std::size_t kAutoArenaMinBytes = std::size_t{64} << 10;  // 64 KiB
-
-/// Marks the calling lane's arena on construction and resets it on
-/// destruction, reclaiming every scratch tensor bumped in between in O(1).
-/// Scopes nest (inner scopes reclaim only their own suffix); each lane's
-/// scopes are independent. Counts obs mem.arena_resets on exit.
-///
-/// Placement rule: open one Scope per fixed iteration (train batch, eval
-/// batch, prune cycle) so the reset boundary is deterministic — results must
-/// not depend on when memory is reclaimed, and with zero-filled acquisition
-/// they cannot.
-class Scope {
- public:
-  Scope();
-
-  /// Size-hinted scope: `model_bytes_hint` approximates the iteration's
-  /// working set (callers pass param_count() * sizeof(float)). Under
-  /// RP_ARENA=auto a hint below kAutoArenaMinBytes leaves the scope inert —
-  /// scratch on this lane routes through the lane pool instead of bumping an
-  /// arena generation, and the destructor resets nothing. Under =on/=off the
-  /// hint is ignored. Inert or not, scratch acquisition zero-fills the same
-  /// way, so results are bit-identical across the threshold.
-  explicit Scope(std::size_t model_bytes_hint);
-
-  ~Scope();
-  Scope(const Scope&) = delete;
-  Scope& operator=(const Scope&) = delete;
-
- private:
-  bool active_;        ///< false: inert auto-mode scope, no mark/reset
-  std::size_t chunk_;  ///< arena watermark: active chunk index...
-  std::size_t used_;   ///< ...and bump offset inside it at entry
-};
-
-/// True while the calling lane has at least one live Scope.
-bool scope_active();
-
-// ---------------------------------------------------------------------------
-// Raw scratch routing (used by ScratchAllocator below).
-
-/// Acquires storage for `bytes` bytes of scratch. Routing: lane arena when
-/// the engine is on and a Scope is live on this lane; lane pool when the
-/// engine is on without a scope; plain heap when the engine is off. The
-/// returned block is NOT zeroed — Tensor::scratch zero-fills through its
-/// vector constructor. Never returns nullptr (throws std::bad_alloc).
-void* scratch_acquire(std::size_t bytes);
-
-/// Releases a scratch_acquire block. Arena blocks are a no-op (the Scope
-/// reset reclaims them); pool blocks return to the releasing lane's free
-/// list; heap blocks are freed. Safe from any thread — provenance rides in
-/// a header ahead of the block, not in a registry.
-void scratch_release(void* p, std::size_t bytes) noexcept;
-
-// ---------------------------------------------------------------------------
-// Diagnostics & tests.
-
-/// Canary written over reclaimed arena bytes when poisoning is active, so
-/// stale reads through a dangling scratch tensor are loud instead of
-/// silently reproducible. One uint32 pattern, repeated.
-inline constexpr std::uint32_t kPoisonPattern = 0xA5C3DEADu;
-
-/// Poisoning is active in assert-enabled builds (!NDEBUG) and whenever
-/// RP_ARENA_POISON=1 (re-read by reset()), so the reset-reuse test can run
-/// under the Release/ASan gates too.
-bool poison_enabled();
-
-/// Per-lane engine statistics (this lane only; counters are in rp::obs).
-struct LaneStats {
-  std::size_t arena_reserved = 0;  ///< bytes in this lane's arena chunks
-  std::size_t arena_used = 0;      ///< bytes currently bumped
-  std::size_t pool_buffers = 0;    ///< free-listed buffers in this lane's pool
-  std::size_t pool_bytes = 0;      ///< bytes those buffers hold
-};
-LaneStats lane_stats();
-
-/// Frees the calling lane's arena chunks and pool free lists (tests use this
-/// to start from a cold engine; never needed in production code).
-void release_lane();
-
-// ---------------------------------------------------------------------------
-// ScratchAllocator — routes std::vector storage through the engine.
-//
-// Tensor's element vector uses this allocator. The `scratch` flag is the
-// whole policy:
-//   - scratch=false (the default) behaves exactly like std::allocator.
-//   - scratch=true routes through scratch_acquire/scratch_release.
-// Copy construction always lands on heap (select_on_container_copy_
-// construction drops the flag): copying a scratch tensor must produce a
-// tensor that can outlive the scope. Cross-kind assignment compares unequal,
-// so vector falls back to element-wise copy into the destination's own
-// storage — a heap tensor can never silently steal an arena pointer.
-
-template <typename T>
-struct ScratchAllocator {
-  using value_type = T;
-  using propagate_on_container_copy_assignment = std::false_type;
-  using propagate_on_container_move_assignment = std::false_type;
-  using propagate_on_container_swap = std::false_type;
-  using is_always_equal = std::false_type;
-
-  bool scratch = false;
-
-  ScratchAllocator() = default;
-  explicit ScratchAllocator(bool s) : scratch(s) {}
-  template <typename U>
-  ScratchAllocator(const ScratchAllocator<U>& o) : scratch(o.scratch) {}  // NOLINT(google-explicit-constructor)
-
-  T* allocate(std::size_t n) {
-    if (scratch) return static_cast<T*>(scratch_acquire(n * sizeof(T)));
-    return static_cast<T*>(::operator new(n * sizeof(T)));
-  }
-  void deallocate(T* p, std::size_t n) noexcept {
-    if (scratch) {
-      scratch_release(p, n * sizeof(T));
-    } else {
-      ::operator delete(p);
-    }
-  }
-
-  /// Copies are always heap-backed — they may outlive the source's scope.
-  ScratchAllocator select_on_container_copy_construction() const { return ScratchAllocator(); }
-
-  friend bool operator==(const ScratchAllocator& a, const ScratchAllocator& b) {
-    return a.scratch == b.scratch;
-  }
-  friend bool operator!=(const ScratchAllocator& a, const ScratchAllocator& b) {
-    return !(a == b);
-  }
-};
+inline Mode mode() { return Mode::kOff; }
+inline const char* mode_name(Mode /*m*/) { return "off"; }
 
 }  // namespace rp::mem

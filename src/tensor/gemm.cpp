@@ -51,7 +51,7 @@ void gemm_blocked(const float* a, const float* b, float* c, int64_t m, int64_t n
       const float* panel = b + pc * n + jc;
       int64_t ldp = n;
       if (nc < n) {
-        tl_pack_buf.resize(static_cast<size_t>(kc * nc));  // rp-lint: allow(R12) thread_local pack scratch; grows once, steady-state alloc-free
+        tl_pack_buf.resize(static_cast<size_t>(kc * nc));
         for (int64_t p = 0; p < kc; ++p) {
           std::memcpy(tl_pack_buf.data() + p * nc, b + (pc + p) * n + jc,
                       static_cast<size_t>(nc) * sizeof(float));
@@ -90,7 +90,6 @@ void zero_floats(float* p, int64_t n) {
 
 }  // namespace
 
-// rp-lint: hot
 void gemm(const Tensor& a, const Tensor& b, Tensor& c, bool trans_a, bool trans_b, float alpha,
           float beta) {
   if (a.ndim() != 2 || b.ndim() != 2 || c.ndim() != 2) {
@@ -126,13 +125,13 @@ void gemm(const Tensor& a, const Tensor& b, Tensor& c, bool trans_a, bool trans_
   const float* ad = a.data().data();
   const float* bd = b.data().data();
   if (trans_a) {
-    tl_at_buf.resize(static_cast<size_t>(m * k));  // rp-lint: allow(R12) thread_local transpose scratch; grows once, steady-state alloc-free
+    tl_at_buf.resize(static_cast<size_t>(m * k));
     for (int64_t p = 0; p < k; ++p)
       for (int64_t i = 0; i < m; ++i) tl_at_buf[static_cast<size_t>(i * k + p)] = ad[p * m + i];
     ad = tl_at_buf.data();
   }
   if (trans_b) {
-    tl_bt_buf.resize(static_cast<size_t>(k * n));  // rp-lint: allow(R12) thread_local transpose scratch; grows once, steady-state alloc-free
+    tl_bt_buf.resize(static_cast<size_t>(k * n));
     for (int64_t j = 0; j < n; ++j)
       for (int64_t p = 0; p < k; ++p) tl_bt_buf[static_cast<size_t>(p * n + j)] = bd[j * k + p];
     bd = tl_bt_buf.data();
@@ -157,7 +156,7 @@ void im2col(const Tensor& image, const ConvGeom& g, Tensor& cols) {
   }
   const int64_t oh = g.out_h(), ow = g.out_w();
   if (cols.shape() != Shape{g.patch(), oh * ow}) {
-    cols = Tensor::scratch(Shape{g.patch(), oh * ow});
+    cols = Tensor(Shape{g.patch(), oh * ow});
   }
   const float* src = image.data().data();
   float* dst = cols.data().data();
@@ -211,7 +210,7 @@ void col2im(const Tensor& cols, const ConvGeom& g, Tensor& image) {
                                 " does not match geometry");
   }
   if (image.shape() != Shape{g.in_c, g.in_h, g.in_w}) {
-    image = Tensor::scratch(Shape{g.in_c, g.in_h, g.in_w});
+    image = Tensor(Shape{g.in_c, g.in_h, g.in_w});
   } else {
     image.zero();
   }

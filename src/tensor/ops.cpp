@@ -73,7 +73,7 @@ float l2_distance(const Tensor& a, const Tensor& b) {
 
 Tensor softmax_rows(const Tensor& logits) {
   if (logits.ndim() != 2) throw std::invalid_argument("softmax_rows expects a [N, C] matrix");
-  Tensor out = Tensor::scratch_copy(logits.shape(), logits.data().data());
+  Tensor out(logits.shape(), logits.data().data());
   softmax_rows_inplace(out);
   return out;
 }

@@ -25,7 +25,7 @@ thread_local int tl_depth = 0;  // rp-lint: allow(R3) per-lane nesting depth, po
 int env_default_threads() {
   // Strict parse-or-exit(2): "RP_THREADS=4junk" used to run with 4 threads
   // via atoi; now any value that is not a positive integer (or the literal
-  // "auto", matching the sibling RP_SIMD/RP_SPARSE/RP_ARENA grammar) kills
+  // "auto", matching the sibling RP_SIMD/RP_SPARSE grammar) kills
   // the process loudly instead of silently shaping every measurement.
   if (const char* env = std::getenv("RP_THREADS")) {
     const std::string text(env);
@@ -63,7 +63,7 @@ class Pool {
     {
       std::lock_guard<std::mutex> lock(m_);
       ensure_workers_locked(threads_ - 1);
-      tasks_.push_back(std::move(task));  // rp-lint: allow(R12) pool task queue; one entry per shard dispatch, not per element
+      tasks_.push_back(std::move(task));
     }
     cv_.notify_one();
   }
@@ -85,7 +85,7 @@ class Pool {
       // Lane ids double as trace thread ids (caller = 0, workers = 1..N), so
       // chrome://tracing rows line up with the pool's lane numbering.
       const int lane = static_cast<int>(workers_.size()) + 1;
-      workers_.emplace_back([this, lane] {  // rp-lint: allow(R12) one-time pool bring-up, not per-task work
+      workers_.emplace_back([this, lane] {
         obs::set_thread_id(lane);
         worker_loop();
       });

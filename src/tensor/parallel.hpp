@@ -11,9 +11,7 @@ namespace rp::parallel {
 /// Two raw pointers, never allocates — unlike std::function, whose closure
 /// copy spills to the heap past the 16-byte SBO. The conv/gemm loop bodies
 /// all capture more than that, which put one operator-new on EVERY
-/// parallel_for call and made the pool boundary the biggest remaining heap
-/// source in a warmed-up train step under RP_ARENA=on (measured by
-/// BM_TrainStepAllocs). The referenced callable must outlive the call;
+/// parallel_for call. The referenced callable must outlive the call;
 /// parallel_for / run_shards guarantee that by blocking until every chunk
 /// has finished.
 template <typename Sig>

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
@@ -11,27 +10,21 @@
 #include "tensor/envspec.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/parallel.hpp"
-#include "tensor/serialize.hpp"
 #include "tensor/simd.hpp"
 
 namespace rp::sparse {
 
-namespace {
-
-// -- mode resolution (mirrors simd.cpp's RP_SIMD handling) ------------------
-
-}  // namespace
-
 Mode parse_mode_spec(const std::string& text) {
   if (text == "off" || text == "dense") return Mode::kOff;
   if (text == "csr") return Mode::kCsr;
-  if (text == "block") return Mode::kBlock;
   if (text == "auto") return Mode::kAuto;
   throw std::invalid_argument("RP_SPARSE: bad value '" + text +
-                              "' (expected off|dense|csr|block|auto)");
+                              "' (expected off|dense|csr|auto)");
 }
 
 namespace {
+
+// -- mode resolution (mirrors simd.cpp's RP_SIMD handling) ------------------
 
 Mode resolve_from_env() {
   std::string want = "auto";
@@ -70,116 +63,18 @@ void require_2d(const Tensor& w, const char* who) {
 }
 
 // C[rows, n] = W @ B for raw row-major B[cols, n] / C[rows, n] with leading
-// dimension n. C must be pre-zeroed; only the sparse layouts come here (the
+// dimension n. C must be pre-zeroed; only the CSR layout comes here (the
 // dense layout goes through rp::gemm).
 void matmul_core(const SparseWeight& w, const float* b, float* c, int64_t n) {
   obs::count(obs::Counter::kGemmSparseCalls);
-  const bool threaded = 2 * w.nnz * n >= kParallelMinMacs;
-  if (w.layout == Layout::kCsr) {
-    const auto kernel = simd::kernels().csr_gemm;
-    auto rows = [&](int64_t i0, int64_t i1) {
-      kernel(w.row_ptr.data(), w.col_idx.data(), w.values.data(), b, n, c, n, i0, i1, n);
-    };
-    if (threaded) {
-      parallel::parallel_for(0, w.rows, row_grain(w.rows), rows);
-    } else {
-      rows(0, w.rows);
-    }
-    return;
-  }
-  const int64_t nbr = static_cast<int64_t>(w.blk_row_ptr.size()) - 1;
-  const auto kernel = simd::kernels().block_gemm;
-  auto brows = [&](int64_t br0, int64_t br1) {
-    kernel(w.blk_row_ptr.data(), w.blk_col.data(), w.blk_values.data(), b, n, c, n, br0, br1,
-           w.rows, w.cols, n);
+  const auto kernel = simd::kernels().csr_gemm;
+  auto rows = [&](int64_t i0, int64_t i1) {
+    kernel(w.row_ptr.data(), w.col_idx.data(), w.values.data(), b, n, c, n, i0, i1, n);
   };
-  if (threaded) {
-    parallel::parallel_for(0, nbr, row_grain(nbr), brows);
+  if (2 * w.nnz * n >= kParallelMinMacs) {
+    parallel::parallel_for(0, w.rows, row_grain(w.rows), rows);
   } else {
-    brows(0, nbr);
-  }
-}
-
-// -- serialization helpers --------------------------------------------------
-
-// Indices ride the float32 tensor bundle; above 2^24 a float can no longer
-// hold every integer exactly and the round-trip would silently corrupt.
-constexpr int64_t kMaxExactIndex = int64_t{1} << 24;
-
-void require_exact(int64_t v, const char* what) {
-  if (v > kMaxExactIndex) {
-    throw std::length_error(std::string("sparse serialization: ") + what +
-                            " exceeds float32-exact range");
-  }
-}
-
-Tensor from_i32(const std::vector<int32_t>& v) {
-  Tensor t(Shape{static_cast<int64_t>(v.size())});
-  float* d = t.data().data();
-  for (size_t i = 0; i < v.size(); ++i) d[i] = static_cast<float>(v[i]);
-  return t;
-}
-
-Tensor from_f32(const std::vector<float>& v) {
-  Tensor t(Shape{static_cast<int64_t>(v.size())});
-  std::memcpy(t.data().data(), v.data(), v.size() * sizeof(float));
-  return t;
-}
-
-const Tensor& find_tensor(const std::vector<std::pair<std::string, Tensor>>& items,
-                          const std::string& name) {
-  for (const auto& [n, t] : items) {
-    if (n == name) return t;
-  }
-  throw CorruptArtifact("sparse artifact: missing tensor \"" + name + "\"");
-}
-
-// A value that must decode to an exact non-negative integer index.
-int64_t to_index(float v, const std::string& what) {
-  if (!(v >= 0.0f) || v != std::floor(v) || v >= static_cast<float>(kMaxExactIndex)) {
-    throw CorruptArtifact("sparse artifact: " + what + " is not a valid index");
-  }
-  return static_cast<int64_t>(v);
-}
-
-std::vector<int32_t> to_i32(const Tensor& t, int64_t expect, const std::string& what) {
-  if (t.numel() != expect) {
-    throw CorruptArtifact("sparse artifact: " + what + " has " + std::to_string(t.numel()) +
-                          " entries, expected " + std::to_string(expect));
-  }
-  std::vector<int32_t> out(static_cast<size_t>(expect));
-  const float* d = t.data().data();
-  for (int64_t i = 0; i < expect; ++i) {
-    out[static_cast<size_t>(i)] = static_cast<int32_t>(to_index(d[i], what));
-  }
-  return out;
-}
-
-// row_ptr-style arrays: start at 0, non-decreasing, end at total.
-void check_row_ptr(const std::vector<int32_t>& p, int64_t total, const std::string& what) {
-  if (p.empty() || p.front() != 0 || p.back() != total) {
-    throw CorruptArtifact("sparse artifact: " + what + " does not span [0, nnz]");
-  }
-  for (size_t i = 1; i < p.size(); ++i) {
-    if (p[i] < p[i - 1]) {
-      throw CorruptArtifact("sparse artifact: " + what + " is not monotone");
-    }
-  }
-}
-
-// Column arrays: in [0, limit) and strictly ascending within each row.
-void check_cols(const std::vector<int32_t>& ptr, const std::vector<int32_t>& col, int64_t limit,
-                const std::string& what) {
-  for (size_t r = 0; r + 1 < ptr.size(); ++r) {
-    for (int32_t t = ptr[r]; t < ptr[r + 1]; ++t) {
-      const bool in_range = col[static_cast<size_t>(t)] >= 0 &&
-                            col[static_cast<size_t>(t)] < limit;
-      const bool ascending =
-          t == ptr[r] || col[static_cast<size_t>(t)] > col[static_cast<size_t>(t - 1)];
-      if (!in_range || !ascending) {
-        throw CorruptArtifact("sparse artifact: " + what + " out of range or unsorted");
-      }
-    }
+    rows(0, w.rows);
   }
 }
 
@@ -206,57 +101,23 @@ const char* mode_name(Mode m) {
       return "off";
     case Mode::kCsr:
       return "csr";
-    case Mode::kBlock:
-      return "block";
     case Mode::kAuto:
       break;
   }
   return "auto";
 }
 
-const char* layout_name(Layout l) {
-  switch (l) {
-    case Layout::kCsr:
-      return "csr";
-    case Layout::kBlock:
-      return "block";
-    case Layout::kDense:
-      break;
-  }
-  return "dense";
-}
+const char* layout_name(Layout l) { return l == Layout::kCsr ? "csr" : "dense"; }
 
 // ---------------------------------------------------------------------------
 // Analysis & compilation
 
 Plan analyze(const Tensor& w, Mode m) {
   require_2d(w, "sparse::analyze");
-  const int64_t rows = w.size(0), cols = w.size(1);
-  const int64_t nbc = (cols + kBlockCols - 1) / kBlockCols;
-  const float* d = w.data().data();
-
   Plan plan;
-  int64_t occupied = 0;
-  std::vector<uint8_t> block_hit(static_cast<size_t>(nbc));
-  for (int64_t br = 0; br * kBlockRows < rows; ++br) {
-    std::fill(block_hit.begin(), block_hit.end(), uint8_t{0});
-    const int64_t rlim = std::min(kBlockRows, rows - br * kBlockRows);
-    for (int64_t r = 0; r < rlim; ++r) {
-      const float* wr = d + (br * kBlockRows + r) * cols;
-      for (int64_t k = 0; k < cols; ++k) {
-        if (wr[k] != 0.0f) {
-          ++plan.nnz;
-          block_hit[static_cast<size_t>(k / kBlockCols)] = 1;
-        }
-      }
-    }
-    for (int64_t bc = 0; bc < nbc; ++bc) occupied += block_hit[static_cast<size_t>(bc)];
-  }
-
-  const int64_t numel = rows * cols;
+  for (const float v : w.data()) plan.nnz += v != 0.0f ? 1 : 0;
+  const int64_t numel = w.numel();
   plan.density = numel > 0 ? static_cast<double>(plan.nnz) / static_cast<double>(numel) : 1.0;
-  plan.block_occupancy =
-      occupied > 0 ? static_cast<double>(plan.nnz) / static_cast<double>(32 * occupied) : 0.0;
 
   switch (m) {
     case Mode::kOff:
@@ -265,17 +126,8 @@ Plan analyze(const Tensor& w, Mode m) {
     case Mode::kCsr:
       plan.layout = Layout::kCsr;
       break;
-    case Mode::kBlock:
-      plan.layout = Layout::kBlock;
-      break;
     case Mode::kAuto:
-      if (plan.density >= kDenseDensityThreshold) {
-        plan.layout = Layout::kDense;
-      } else if (plan.block_occupancy >= kBlockOccupancyThreshold) {
-        plan.layout = Layout::kBlock;
-      } else {
-        plan.layout = Layout::kCsr;
-      }
+      plan.layout = plan.density >= kDenseDensityThreshold ? Layout::kDense : Layout::kCsr;
       break;
   }
   return plan;
@@ -293,70 +145,29 @@ SparseWeight compile(const Tensor& w, Mode m) {
   sw.cols = cols;
   sw.nnz = plan.nnz;
 
-  switch (plan.layout) {
-    case Layout::kDense:
-      sw.dense = w;
-      break;
-    case Layout::kCsr: {
-      sw.row_ptr.reserve(static_cast<size_t>(rows) + 1);
-      sw.col_idx.reserve(static_cast<size_t>(plan.nnz));
-      sw.values.reserve(static_cast<size_t>(plan.nnz));
-      sw.row_ptr.push_back(0);
-      for (int64_t i = 0; i < rows; ++i) {
-        const float* wr = d + i * cols;
-        for (int64_t k = 0; k < cols; ++k) {
-          if (wr[k] != 0.0f) {
-            sw.col_idx.push_back(static_cast<int32_t>(k));
-            sw.values.push_back(wr[k]);
-          }
-        }
-        sw.row_ptr.push_back(static_cast<int32_t>(sw.col_idx.size()));
-      }
-      break;
-    }
-    case Layout::kBlock: {
-      const int64_t nbr = (rows + kBlockRows - 1) / kBlockRows;
-      const int64_t nbc = (cols + kBlockCols - 1) / kBlockCols;
-      sw.blk_row_ptr.reserve(static_cast<size_t>(nbr) + 1);
-      sw.blk_row_ptr.push_back(0);
-      for (int64_t br = 0; br < nbr; ++br) {
-        const int64_t r0 = br * kBlockRows;
-        const int64_t rlim = std::min(kBlockRows, rows - r0);
-        for (int64_t bc = 0; bc < nbc; ++bc) {
-          const int64_t k0 = bc * kBlockCols;
-          const int64_t klim = std::min(kBlockCols, cols - k0);
-          bool any = false;
-          for (int64_t r = 0; r < rlim && !any; ++r) {
-            const float* wr = d + (r0 + r) * cols + k0;
-            for (int64_t kk = 0; kk < klim; ++kk) {
-              if (wr[kk] != 0.0f) {
-                any = true;
-                break;
-              }
-            }
-          }
-          if (!any) continue;
-          sw.blk_col.push_back(static_cast<int32_t>(bc));
-          const size_t base = sw.blk_values.size();
-          sw.blk_values.resize(base + kBlockRows * kBlockCols, 0.0f);
-          for (int64_t r = 0; r < rlim; ++r) {
-            const float* wr = d + (r0 + r) * cols + k0;
-            for (int64_t kk = 0; kk < klim; ++kk) {
-              sw.blk_values[base + static_cast<size_t>(r * kBlockCols + kk)] = wr[kk];
-            }
-          }
-        }
-        sw.blk_row_ptr.push_back(static_cast<int32_t>(sw.blk_col.size()));
-      }
-      break;
-    }
+  if (sw.layout == Layout::kDense) {
+    sw.dense = w;
+    return sw;
   }
 
-  if (sw.layout != Layout::kDense) {
-    obs::count(obs::Counter::kSparseNnz, sw.nnz);
-    const int64_t dense_bytes = rows * cols * static_cast<int64_t>(sizeof(float));
-    obs::count(obs::Counter::kSparseBytesSaved, std::max<int64_t>(0, dense_bytes - sw.bytes()));
+  sw.row_ptr.reserve(static_cast<size_t>(rows) + 1);
+  sw.col_idx.reserve(static_cast<size_t>(plan.nnz));
+  sw.values.reserve(static_cast<size_t>(plan.nnz));
+  sw.row_ptr.push_back(0);
+  for (int64_t i = 0; i < rows; ++i) {
+    const float* wr = d + i * cols;
+    for (int64_t k = 0; k < cols; ++k) {
+      if (wr[k] != 0.0f) {
+        sw.col_idx.push_back(static_cast<int32_t>(k));
+        sw.values.push_back(wr[k]);
+      }
+    }
+    sw.row_ptr.push_back(static_cast<int32_t>(sw.col_idx.size()));
   }
+
+  obs::count(obs::Counter::kSparseNnz, sw.nnz);
+  const int64_t dense_bytes = rows * cols * static_cast<int64_t>(sizeof(float));
+  obs::count(obs::Counter::kSparseBytesSaved, std::max<int64_t>(0, dense_bytes - sw.bytes()));
   return sw;
 }
 
@@ -366,44 +177,18 @@ int64_t SparseWeight::bytes() const {
   auto vec_bytes = [](const auto& v) {
     return static_cast<int64_t>(v.size() * sizeof(v[0]));
   };
-  switch (layout) {
-    case Layout::kDense:
-      return dense.numel() * static_cast<int64_t>(sizeof(float));
-    case Layout::kCsr:
-      return vec_bytes(row_ptr) + vec_bytes(col_idx) + vec_bytes(values);
-    case Layout::kBlock:
-      break;
-  }
-  return vec_bytes(blk_row_ptr) + vec_bytes(blk_col) + vec_bytes(blk_values);
+  if (layout == Layout::kDense) return dense.numel() * static_cast<int64_t>(sizeof(float));
+  return vec_bytes(row_ptr) + vec_bytes(col_idx) + vec_bytes(values);
 }
 
 Tensor SparseWeight::to_dense() const {
   if (layout == Layout::kDense) return dense;
   Tensor out(Shape{rows, cols});
   float* d = out.data().data();
-  if (layout == Layout::kCsr) {
-    for (int64_t i = 0; i < rows; ++i) {
-      for (int32_t t = row_ptr[static_cast<size_t>(i)]; t < row_ptr[static_cast<size_t>(i) + 1];
-           ++t) {
-        d[i * cols + col_idx[static_cast<size_t>(t)]] = values[static_cast<size_t>(t)];
-      }
-    }
-    return out;
-  }
-  const int64_t nbr = static_cast<int64_t>(blk_row_ptr.size()) - 1;
-  for (int64_t br = 0; br < nbr; ++br) {
-    const int64_t r0 = br * kBlockRows;
-    const int64_t rlim = std::min(kBlockRows, rows - r0);
-    for (int32_t t = blk_row_ptr[static_cast<size_t>(br)];
-         t < blk_row_ptr[static_cast<size_t>(br) + 1]; ++t) {
-      const int64_t k0 = static_cast<int64_t>(blk_col[static_cast<size_t>(t)]) * kBlockCols;
-      const int64_t klim = std::min(kBlockCols, cols - k0);
-      const float* blk = blk_values.data() + static_cast<int64_t>(t) * kBlockRows * kBlockCols;
-      for (int64_t r = 0; r < rlim; ++r) {
-        for (int64_t kk = 0; kk < klim; ++kk) {
-          d[(r0 + r) * cols + k0 + kk] = blk[r * kBlockCols + kk];
-        }
-      }
+  for (int64_t i = 0; i < rows; ++i) {
+    for (int32_t t = row_ptr[static_cast<size_t>(i)]; t < row_ptr[static_cast<size_t>(i) + 1];
+         ++t) {
+      d[i * cols + col_idx[static_cast<size_t>(t)]] = values[static_cast<size_t>(t)];
     }
   }
   return out;
@@ -412,7 +197,6 @@ Tensor SparseWeight::to_dense() const {
 // ---------------------------------------------------------------------------
 // Execution
 
-// rp-lint: hot
 void matmul_into(const SparseWeight& w, const Tensor& b, Tensor& c) {
   if (b.ndim() != 2 || c.ndim() != 2 || b.size(0) != w.cols || c.size(0) != w.rows ||
       c.size(1) != b.size(1)) {
@@ -431,7 +215,6 @@ void matmul_into(const SparseWeight& w, const Tensor& b, Tensor& c) {
   matmul_core(w, b.data().data(), cd, n);
 }
 
-// rp-lint: hot
 void rhs_matmul_into(const SparseWeight& w, const Tensor& x, Tensor& y) {
   if (x.ndim() != 2 || y.ndim() != 2 || x.size(1) != w.cols || y.size(0) != x.size(0) ||
       y.size(1) != w.rows) {
@@ -450,7 +233,7 @@ void rhs_matmul_into(const SparseWeight& w, const Tensor& x, Tensor& y) {
   // rp::gemm makes for trans_b, and fma(w, x, c) == fma(x, w, c) bitwise, so
   // this matches the dense gemm(x, w, y, false, true) reference exactly.
   const float* xd = x.data().data();
-  tl_xt_buf.resize(static_cast<size_t>(w.cols * n));  // rp-lint: allow(R12) thread_local transpose scratch; grows once, steady-state alloc-free
+  tl_xt_buf.resize(static_cast<size_t>(w.cols * n));
   for (int64_t i = 0; i < n; ++i) {
     for (int64_t k = 0; k < w.cols; ++k) {
       tl_xt_buf[static_cast<size_t>(k * n + i)] = xd[i * w.cols + k];
@@ -464,102 +247,6 @@ void rhs_matmul_into(const SparseWeight& w, const Tensor& x, Tensor& y) {
       yd[i * w.rows + r] = tl_yt_buf[static_cast<size_t>(r * n + i)];
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// Serialization
-
-std::vector<std::pair<std::string, Tensor>> to_tensors(const SparseWeight& w,
-                                                       const std::string& prefix) {
-  require_exact(w.rows + 1, "row count");
-  require_exact(w.cols, "column count");
-  require_exact(w.nnz, "nnz");
-  std::vector<std::pair<std::string, Tensor>> out;
-  Tensor meta(Shape{4});
-  meta.data()[0] = static_cast<float>(static_cast<int>(w.layout));
-  meta.data()[1] = static_cast<float>(w.rows);
-  meta.data()[2] = static_cast<float>(w.cols);
-  meta.data()[3] = static_cast<float>(w.nnz);
-  out.emplace_back(prefix + ".meta", std::move(meta));
-  switch (w.layout) {
-    case Layout::kDense:
-      out.emplace_back(prefix + ".dense", w.dense);
-      break;
-    case Layout::kCsr:
-      out.emplace_back(prefix + ".row_ptr", from_i32(w.row_ptr));
-      out.emplace_back(prefix + ".col_idx", from_i32(w.col_idx));
-      out.emplace_back(prefix + ".values", from_f32(w.values));
-      break;
-    case Layout::kBlock:
-      require_exact(static_cast<int64_t>(w.blk_col.size()), "block count");
-      out.emplace_back(prefix + ".blk_row_ptr", from_i32(w.blk_row_ptr));
-      out.emplace_back(prefix + ".blk_col", from_i32(w.blk_col));
-      out.emplace_back(prefix + ".blk_values", from_f32(w.blk_values));
-      break;
-  }
-  return out;
-}
-
-SparseWeight from_tensors(const std::vector<std::pair<std::string, Tensor>>& items,
-                          const std::string& prefix) {
-  const Tensor& meta = find_tensor(items, prefix + ".meta");
-  if (meta.numel() != 4) throw CorruptArtifact("sparse artifact: malformed meta tensor");
-  const int64_t layout_code = to_index(meta.data()[0], "layout");
-  if (layout_code > 2) throw CorruptArtifact("sparse artifact: unknown layout code");
-
-  SparseWeight w;
-  w.layout = static_cast<Layout>(layout_code);
-  w.rows = to_index(meta.data()[1], "rows");
-  w.cols = to_index(meta.data()[2], "cols");
-  w.nnz = to_index(meta.data()[3], "nnz");
-  if (w.nnz > w.rows * w.cols) throw CorruptArtifact("sparse artifact: nnz exceeds numel");
-
-  switch (w.layout) {
-    case Layout::kDense: {
-      const Tensor& d = find_tensor(items, prefix + ".dense");
-      if (d.numel() != w.rows * w.cols) {
-        throw CorruptArtifact("sparse artifact: dense payload size mismatch");
-      }
-      w.dense = Tensor(Shape{w.rows, w.cols},
-                       std::vector<float>(d.data().begin(), d.data().end()));
-      break;
-    }
-    case Layout::kCsr: {
-      w.row_ptr = to_i32(find_tensor(items, prefix + ".row_ptr"), w.rows + 1, "row_ptr");
-      w.col_idx = to_i32(find_tensor(items, prefix + ".col_idx"), w.nnz, "col_idx");
-      const Tensor& v = find_tensor(items, prefix + ".values");
-      if (v.numel() != w.nnz) throw CorruptArtifact("sparse artifact: values size mismatch");
-      w.values.assign(v.data().begin(), v.data().end());
-      check_row_ptr(w.row_ptr, w.nnz, "row_ptr");
-      check_cols(w.row_ptr, w.col_idx, w.cols, "col_idx");
-      break;
-    }
-    case Layout::kBlock: {
-      const int64_t nbr = (w.rows + kBlockRows - 1) / kBlockRows;
-      const int64_t nbc = (w.cols + kBlockCols - 1) / kBlockCols;
-      w.blk_row_ptr =
-          to_i32(find_tensor(items, prefix + ".blk_row_ptr"), nbr + 1, "blk_row_ptr");
-      const int64_t nblk = w.blk_row_ptr.empty() ? 0 : w.blk_row_ptr.back();
-      w.blk_col = to_i32(find_tensor(items, prefix + ".blk_col"), nblk, "blk_col");
-      const Tensor& v = find_tensor(items, prefix + ".blk_values");
-      if (v.numel() != nblk * kBlockRows * kBlockCols) {
-        throw CorruptArtifact("sparse artifact: blk_values size mismatch");
-      }
-      w.blk_values.assign(v.data().begin(), v.data().end());
-      check_row_ptr(w.blk_row_ptr, nblk, "blk_row_ptr");
-      check_cols(w.blk_row_ptr, w.blk_col, nbc, "blk_col");
-      break;
-    }
-  }
-  return w;
-}
-
-void save_sparse_file(const std::string& path, const SparseWeight& w) {
-  save_tensors_file(path, to_tensors(w, "sparse"));
-}
-
-SparseWeight load_sparse_file(const std::string& path) {
-  return from_tensors(load_tensors_file(path), "sparse");
 }
 
 }  // namespace rp::sparse

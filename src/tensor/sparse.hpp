@@ -2,14 +2,13 @@
 
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "tensor/tensor.hpp"
 
 // Compile-to-sparse execution engine: turns a pruned layer's measured zero
-// pattern into a compact layout (CSR or 4×8 block-sparse) plus sparse×dense
-// microkernels, so prune ratio becomes wall-clock speedup on the eval path.
+// pattern into a compact CSR layout plus a sparse×dense microkernel, so
+// prune ratio becomes wall-clock speedup on the eval path.
 //
 // Contract (DESIGN.md §6 "Sparse execution"): the sparse path is bit-identical
 // to the dense reference. Per output element the stored nonzeros are walked
@@ -20,15 +19,15 @@
 // in tests/test_sparse.cpp enforce this across RP_SPARSE × RP_SIMD ×
 // RP_THREADS.
 //
-// Selection: RP_SPARSE=off forces the dense path, =csr / =block force one
-// layout for every compiled layer, and unset/auto picks per layer from the
-// measured density (see analyze()). This mirrors the RP_SIMD escape hatch.
+// Selection: RP_SPARSE=off forces the dense path, =csr forces CSR for every
+// compiled layer, and unset/auto picks per layer from the measured density
+// (see analyze()). This mirrors the RP_SIMD escape hatch.
 namespace rp::sparse {
 
 // ---------------------------------------------------------------------------
 // Mode — the RP_SPARSE escape hatch.
 
-enum class Mode { kOff = 0, kCsr = 1, kBlock = 2, kAuto = 3 };
+enum class Mode { kOff = 0, kCsr = 1, kAuto = 2 };
 
 /// Mode resolved once from RP_SPARSE (or the last force()).
 Mode mode();
@@ -38,11 +37,11 @@ Mode mode();
 void force(Mode m);
 void reset();
 
-/// Spec name of a mode ("off", "csr", "block", "auto").
+/// Spec name of a mode ("off", "csr", "auto").
 const char* mode_name(Mode m);
 
 /// Parses an RP_SPARSE spec: "off"/"dense" -> kOff, "csr" -> kCsr,
-/// "block" -> kBlock, "auto" -> kAuto. Anything else throws
+/// "auto" -> kAuto. Anything else (a stale "block" included) throws
 /// std::invalid_argument naming RP_SPARSE — at the env-resolution site that
 /// means exit(2), never a silent fall-through to auto.
 Mode parse_mode_spec(const std::string& text);
@@ -50,29 +49,21 @@ Mode parse_mode_spec(const std::string& text);
 // ---------------------------------------------------------------------------
 // Layouts
 
-enum class Layout { kDense = 0, kCsr = 1, kBlock = 2 };
+enum class Layout { kDense = 0, kCsr = 1 };
 
-/// Display name of a layout ("dense", "csr", "block").
+/// Display name of a layout ("dense", "csr").
 const char* layout_name(Layout l);
 
-/// Block-sparse tile geometry: 4 output rows × 8 k columns per stored block.
-inline constexpr int64_t kBlockRows = 4;
-inline constexpr int64_t kBlockCols = 8;
-
 /// auto keeps a layer dense at or above this density — at half density the
-/// dense kernel's zero skip plus its packing reuse already win.
+/// dense kernel's zero skip plus its packing reuse already win — and
+/// compiles it to CSR below it.
 inline constexpr double kDenseDensityThreshold = 0.5;
-/// auto picks block over CSR when the nonzeros cover at least this fraction
-/// of their occupied 4×8 tiles — below it the tiles are mostly padding and
-/// CSR's exact nnz walk is cheaper.
-inline constexpr double kBlockOccupancyThreshold = 0.4;
 
 /// What the compiler decided for one weight matrix, and why.
 struct Plan {
   Layout layout = Layout::kDense;
   int64_t nnz = 0;
-  double density = 1.0;          ///< nnz / numel (1.0 for an empty matrix)
-  double block_occupancy = 0.0;  ///< nnz / (32 × occupied 4×8 tiles)
+  double density = 1.0;  ///< nnz / numel (1.0 for an empty matrix)
 };
 
 /// Inspects the measured zero pattern of a 2-D weight matrix and picks the
@@ -84,7 +75,7 @@ Plan analyze(const Tensor& w, Mode m);
 
 /// One weight matrix compiled for sparse execution. Exactly one layout's
 /// fields are populated; `to_dense()` reconstructs the original matrix
-/// bit-for-bit in every layout.
+/// bit-for-bit in both layouts.
 struct SparseWeight {
   Layout layout = Layout::kDense;
   int64_t rows = 0;
@@ -97,16 +88,8 @@ struct SparseWeight {
   std::vector<int32_t> col_idx;
   std::vector<float> values;
 
-  // 4×8 block-sparse: block-row br (rows [4br, 4br+4)) owns blocks
-  // blk_col[blk_row_ptr[br]:blk_row_ptr[br+1]] at strictly ascending block
-  // columns; blk_values stores a row-major 4×8 tile per block (edge tiles
-  // zero-padded).
-  std::vector<int32_t> blk_row_ptr;
-  std::vector<int32_t> blk_col;
-  std::vector<float> blk_values;
-
-  // Dense layout keeps the matrix as-is so round-trips and serialization
-  // work uniformly across layouts.
+  // Dense layout keeps the matrix as-is so round-trips work uniformly
+  // across layouts.
   Tensor dense;
 
   /// Bytes this representation occupies (index + value storage).
@@ -126,7 +109,7 @@ SparseWeight compile(const Tensor& w);
 /// C[rows, n] = W @ B for dense row-major B[cols, n], overwriting C (dense
 /// beta = 0 semantics). Parallel over disjoint output rows — bit-identical
 /// for any RP_THREADS — and dispatched through the RP_SIMD kernel tables.
-/// Counts obs gemm.sparse_calls on the sparse layouts.
+/// Counts obs gemm.sparse_calls on the CSR layout.
 void matmul_into(const SparseWeight& w, const Tensor& b, Tensor& c);
 
 /// Y[n, rows] = X[n, cols] @ Wᵀ — the Linear forward orientation — computed
@@ -134,27 +117,5 @@ void matmul_into(const SparseWeight& w, const Tensor& b, Tensor& c);
 /// fma(b, a, c) bit-exactly, so this equals the dense
 /// gemm(x, w, y, /*trans_a=*/false, /*trans_b=*/true) reference.
 void rhs_matmul_into(const SparseWeight& w, const Tensor& x, Tensor& y);
-
-// ---------------------------------------------------------------------------
-// Serialization — sparse layouts ride the RPT tensor-bundle format (CRC32C
-// footer + durable_write + fault injection for free).
-
-/// Flattens to named float32 tensors under `prefix` (".meta" plus the
-/// layout's index/value arrays). Indices are stored as float32, exact up to
-/// 2^24 — far above any layer in this repository; throws std::length_error
-/// beyond that.
-std::vector<std::pair<std::string, Tensor>> to_tensors(const SparseWeight& w,
-                                                       const std::string& prefix);
-
-/// Rebuilds a SparseWeight from `to_tensors` output. Structural damage
-/// (missing arrays, non-monotone row pointers, out-of-range or unsorted
-/// indices) throws CorruptArtifact so cache layers quarantine instead of
-/// crash.
-SparseWeight from_tensors(const std::vector<std::pair<std::string, Tensor>>& items,
-                          const std::string& prefix);
-
-/// File wrappers over the checked RPT bundle savers (serialize.hpp).
-void save_sparse_file(const std::string& path, const SparseWeight& w);
-SparseWeight load_sparse_file(const std::string& path);
 
 }  // namespace rp::sparse

@@ -45,15 +45,7 @@ Tensor Tensor::reshape(Shape new_shape) const {
     throw std::invalid_argument("reshape: cannot view " + shape_.to_string() + " as " +
                                 new_shape.to_string());
   }
-  if (is_scratch()) {
-    // Hot-path reshapes (flatten() between conv and linear stages) run on
-    // scratch activations: the copy lands back on the arena/pool, so steady
-    // state stays heap-allocation-free.
-    return scratch_copy(std::move(new_shape), data().data());
-  }
-  Tensor t = *this;
-  t.shape_ = std::move(new_shape);
-  return t;
+  return Tensor(std::move(new_shape), data_.data());
 }
 
 Tensor Tensor::slice0(int64_t i) const {
@@ -63,23 +55,7 @@ Tensor Tensor::slice0(int64_t i) const {
   }
   Shape row_shape(shape_.dims().subspan(1));
   const int64_t stride = row_shape.numel();
-  if (is_scratch()) {
-    return scratch_copy(std::move(row_shape), data().data() + i * stride);
-  }
-  Tensor out(row_shape);
-  std::memcpy(out.data().data(), data().data() + i * stride,
-              static_cast<size_t>(stride) * sizeof(float));
-  return out;
-}
-
-Tensor Tensor::slice0_scratch(int64_t i) const {
-  if (ndim() < 1 || i < 0 || i >= shape_[0]) {
-    throw std::out_of_range("slice0: index " + std::to_string(i) + " for shape " +
-                            shape_.to_string());
-  }
-  Shape row_shape(shape_.dims().subspan(1));
-  const int64_t stride = row_shape.numel();
-  return scratch_copy(std::move(row_shape), data().data() + i * stride);
+  return Tensor(std::move(row_shape), data_.data() + i * stride);
 }
 
 void Tensor::set_slice0(int64_t i, const Tensor& row) {

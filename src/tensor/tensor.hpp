@@ -4,7 +4,6 @@
 #include <span>
 #include <vector>
 
-#include "tensor/arena.hpp"
 #include "tensor/rng.hpp"
 #include "tensor/shape.hpp"
 
@@ -16,21 +15,10 @@ namespace rp {
 /// parameters, activations, gradients, pruning masks, images, and labels
 /// (stored as floats). Copies are deep; moves are cheap. All shape-changing
 /// operations on a contiguous layout (reshape/flatten) are metadata-only.
-///
-/// Storage comes in two kinds. The default is a plain heap vector — stable,
-/// long-lived, what parameters and datasets use. `Tensor::scratch()` builds
-/// the same zero-filled tensor with storage routed through rp::mem (lane
-/// arena inside a mem::Scope, pow2 pool otherwise), the sanctioned form for
-/// hot-loop temporaries. The kind is carried by the storage allocator:
-/// copies (construction *and* assignment) always land on heap storage, so a
-/// scratch tensor can be captured past its scope only by an explicit move
-/// construction — assignment into an existing tensor copies elements into
-/// the destination's own storage.
+/// Storage is a plain heap vector.
 class Tensor {
  public:
-  /// Element storage: allocator-routed so scratch tensors can live on the
-  /// lane arena/pool while heap tensors keep std::allocator behavior.
-  using Storage = std::vector<float, mem::ScratchAllocator<float>>;
+  using Storage = std::vector<float>;
 
   /// Empty 0-element tensor.
   Tensor() = default;
@@ -40,30 +28,18 @@ class Tensor {
       : shape_(std::move(shape)), data_(static_cast<size_t>(shape_.numel()), 0.0f) {}
 
   Tensor(Shape shape, std::vector<float> data)
-      : shape_(std::move(shape)), data_(data.begin(), data.end()) {
+      : shape_(std::move(shape)), data_(std::move(data)) {
     if (static_cast<int64_t>(data_.size()) != shape_.numel()) {
       throw std::invalid_argument("data size does not match shape " + shape_.to_string());
     }
   }
 
+  /// Tensor of `shape` filled from `src` (shape.numel() floats) — one copy
+  /// pass, no zero-fill.
+  Tensor(Shape shape, const float* src)
+      : shape_(std::move(shape)), data_(src, src + shape_.numel()) {}
+
   // ----- factories ---------------------------------------------------------
-
-  /// Zero-initialized tensor whose storage routes through the rp::mem
-  /// engine: bit-identical to Tensor(Shape) everywhere, but allocation-free
-  /// in steady state on hot paths (O(1) arena bump inside a mem::Scope, pool
-  /// recycle outside one). Use for per-iteration temporaries only; anything
-  /// that must survive an iteration boundary should be copy-assigned into a
-  /// long-lived tensor (which lands on heap storage automatically).
-  static Tensor scratch(Shape shape) { return Tensor(std::move(shape), ScratchTag{}); }
-
-  /// Scratch tensor of `shape` pre-filled from `src` (shape.numel() floats)
-  /// — one copy pass, no zero-fill. Storage kind matches `scratch()`.
-  static Tensor scratch_copy(Shape shape, const float* src) {
-    return Tensor(std::move(shape), src, ScratchTag{});
-  }
-
-  /// True when this tensor's storage is scratch-kind (arena/pool routed).
-  bool is_scratch() const { return data_.get_allocator().scratch; }
 
   static Tensor zeros(Shape shape) { return Tensor(std::move(shape)); }
   static Tensor full(Shape shape, float value);
@@ -117,11 +93,6 @@ class Tensor {
 
   /// Copies row `i` of axis 0 into a tensor of shape `shape()[1:]`.
   Tensor slice0(int64_t i) const;
-
-  /// Copy of row `i` on scratch storage regardless of this tensor's own
-  /// kind — the form hot loops use to stage per-sample rows without heap
-  /// traffic (slice0 only stays scratch when the source already is).
-  Tensor slice0_scratch(int64_t i) const;
   /// Writes `row` (shape `shape()[1:]`) into row `i` of axis 0.
   void set_slice0(int64_t i, const Tensor& row);
 
@@ -138,14 +109,6 @@ class Tensor {
   bool same_shape(const Tensor& o) const { return shape_ == o.shape_; }
 
  private:
-  struct ScratchTag {};
-  Tensor(Shape shape, ScratchTag)
-      : shape_(std::move(shape)),
-        data_(static_cast<size_t>(shape_.numel()), 0.0f, mem::ScratchAllocator<float>(true)) {}
-  Tensor(Shape shape, const float* src, ScratchTag)
-      : shape_(std::move(shape)),
-        data_(src, src + shape_.numel(), mem::ScratchAllocator<float>(true)) {}
-
   Shape shape_;
   Storage data_;
 };

@@ -3,8 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
 
-#include "tensor/arena.hpp"
 #include "tensor/parallel.hpp"
 #include "tensor/simd.hpp"
 #include "tensor/sparse.hpp"
@@ -55,21 +55,24 @@ TEST(EnvSpec, SparseSpecParsesAllModesAndRejectsTypos) {
   EXPECT_EQ(sparse::parse_mode_spec("off"), sparse::Mode::kOff);
   EXPECT_EQ(sparse::parse_mode_spec("dense"), sparse::Mode::kOff);
   EXPECT_EQ(sparse::parse_mode_spec("csr"), sparse::Mode::kCsr);
-  EXPECT_EQ(sparse::parse_mode_spec("block"), sparse::Mode::kBlock);
   EXPECT_EQ(sparse::parse_mode_spec("auto"), sparse::Mode::kAuto);
   for (const char* bad : {"csrr", "CSR", "blocked", "", "on"}) {
     EXPECT_THROW(sparse::parse_mode_spec(bad), std::invalid_argument) << bad;
   }
 }
 
-TEST(EnvSpec, ArenaSpecParsesAllModesAndRejectsTypos) {
-  EXPECT_EQ(mem::parse_mode_spec("off"), mem::Mode::kOff);
-  EXPECT_EQ(mem::parse_mode_spec("0"), mem::Mode::kOff);
-  EXPECT_EQ(mem::parse_mode_spec("on"), mem::Mode::kOn);
-  EXPECT_EQ(mem::parse_mode_spec("1"), mem::Mode::kOn);
-  EXPECT_EQ(mem::parse_mode_spec("auto"), mem::Mode::kAuto);
-  for (const char* bad : {"offf", "2", "true", ""}) {
-    EXPECT_THROW(mem::parse_mode_spec(bad), std::invalid_argument) << bad;
+TEST(EnvSpec, RetiredSparseBlockModeFailsLoudly) {
+  // The 4x8 block layout is gone. A stale RP_SPARSE=block must be a usage
+  // error naming the knob and the accepted grammar, never a silent fall-
+  // through to auto.
+  try {
+    sparse::parse_mode_spec("block");
+    FAIL() << "RP_SPARSE=block was accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("RP_SPARSE"), std::string::npos) << what;
+    EXPECT_NE(what.find("off|dense|csr|auto"), std::string::npos) << what;
+    EXPECT_EQ(what.find("block|"), std::string::npos) << what;
   }
 }
 

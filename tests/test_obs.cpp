@@ -212,24 +212,18 @@ TEST_F(ObsTest, TracingDoesNotAffectResults) {
   EXPECT_GT(counter_value(Counter::kGemmCalls), 0);
   EXPECT_EQ(counter_value(Counter::kTrainSamples), 48);
   EXPECT_EQ(counter_value(Counter::kEvalSamples), 48);
-  // …including the memory-discipline engine (RP_ARENA defaults to auto):
-  // per-batch scope resets and arena bump traffic are visible, and the
-  // steady-state contract keeps heap fall-throughs far below reset count.
-  EXPECT_GT(counter_value(Counter::kMemArenaResets), 0);
-  EXPECT_GT(counter_value(Counter::kMemArenaBytes), 0);
   // …and produced a loadable trace with the nn-phase spans.
   const std::string text = slurp(trace_path_);
   expect_valid_trace_json(text);
   EXPECT_NE(text.find("nn.train"), std::string::npos);
   EXPECT_NE(text.find("nn.evaluate"), std::string::npos);
-  EXPECT_NE(text.find("mem.arena"), std::string::npos);
 }
 
+/// The one remaining mem counter is vestigial (nothing increments it), but
+/// the end-to-end benchmark reads it by name, so the name must stay.
 TEST_F(ObsTest, MemCounterNamesAreRegistered) {
-  EXPECT_EQ(counter_name(Counter::kMemArenaBytes), std::string("mem.arena_bytes"));
-  EXPECT_EQ(counter_name(Counter::kMemArenaResets), std::string("mem.arena_resets"));
-  EXPECT_EQ(counter_name(Counter::kMemPoolHits), std::string("mem.pool_hits"));
   EXPECT_EQ(counter_name(Counter::kMemHeapAllocsHot), std::string("mem.heap_allocs_hot"));
+  EXPECT_EQ(counter_value(Counter::kMemHeapAllocsHot), 0);
 }
 
 }  // namespace

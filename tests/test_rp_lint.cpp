@@ -91,17 +91,17 @@ TEST(RpLint, CleanFileExitsZero) {
   const LintRun r = run_lint("--list-rules");
   EXPECT_EQ(r.exit_code, 0);
   for (const char* id :
-       {"R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9", "R10", "R11", "R12"}) {
+       {"R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9", "R10", "R11"}) {
     EXPECT_NE(r.output.find(id), std::string::npos) << r.output;
   }
 }
 
 TEST(RpLint, PathScopingExemptsAllowlistedFiles) {
   // Without --force-all-rules a fixture path is outside src/core//src/exp
-  // (R4/R6), outside src/ entirely (R8/R12), and outside src/nn//src/core
+  // (R4/R6), outside src/ entirely (R8), and outside src/nn//src/core
   // (R9), so the path-scoped rules must not fire at all.
-  for (const char* file : {"r4_unordered.cpp", "r6_cstyle_cast.cpp", "r8_raw_artifact_io.cpp",
-                           "r9_dense_gemm.cpp", "r12_hot_alloc.cpp"}) {
+  for (const char* file :
+       {"r4_unordered.cpp", "r6_cstyle_cast.cpp", "r8_raw_artifact_io.cpp", "r9_dense_gemm.cpp"}) {
     SCOPED_TRACE(file);
     const LintRun r = run_lint(kFixtures + std::string("/") + file);
     EXPECT_EQ(r.exit_code, 0) << r.output;
@@ -153,41 +153,6 @@ TEST(RpLint, R11FlagsUpwardIncludeAndCycleOnly) {
   // at thing.hpp; the upward-edge message quoting its path is fine).
   EXPECT_EQ(r.output.find("thing.hpp:"), std::string::npos) << r.output;
   EXPECT_NE(r.output.find("rp-lint: 3 violation(s)"), std::string::npos) << r.output;
-}
-
-TEST(RpLint, R12FlagsAllocationsReachableFromHotEntryPoints) {
-  const LintRun r = run_lint("--force-all-rules " + kFixtures + "/r12_hot_alloc.cpp");
-  EXPECT_EQ(r.exit_code, 1) << r.output;
-  // Tensor ctor in a helper the hot root calls, operator new and container
-  // growth in the root itself.
-  for (int line : {13, 19, 21}) {
-    const std::string tag = ":" + std::to_string(line) + ": [R12]";
-    EXPECT_NE(r.output.find(tag), std::string::npos) << r.output;
-  }
-  EXPECT_NE(r.output.find("reachable from hot entry 'hot_kernel'"), std::string::npos)
-      << r.output;
-  // cold_setup (unreachable from any hot mark) and the allow(R12)-triaged
-  // function contribute nothing.
-  EXPECT_NE(r.output.find("rp-lint: 3 violation(s)"), std::string::npos) << r.output;
-}
-
-TEST(RpLint, R12BurndownFlagsStaleAllowsAndAcceptsLiveOnes) {
-  // Plain run: both allows are accepted — the live one suppresses the
-  // push_back finding, the stale one silently matches nothing.
-  const LintRun plain =
-      run_lint("--force-all-rules " + kFixtures + "/r12_stale_allow.cpp");
-  EXPECT_EQ(plain.exit_code, 0) << plain.output;
-  EXPECT_NE(plain.output.find("violations=0"), std::string::npos) << plain.output;
-
-  // Burndown run: an allow(R12) that no longer covers an R12 finding is
-  // itself the violation, reported at the allow's own line; the live allow
-  // stays quiet.
-  const LintRun burn =
-      run_lint("--force-all-rules --r12-burndown " + kFixtures + "/r12_stale_allow.cpp");
-  EXPECT_EQ(burn.exit_code, 1) << burn.output;
-  EXPECT_NE(burn.output.find(":12: [R12] stale allow(R12)"), std::string::npos) << burn.output;
-  EXPECT_EQ(burn.output.find(":11:"), std::string::npos) << burn.output;
-  EXPECT_NE(burn.output.find("rp-lint: 1 violation(s)"), std::string::npos) << burn.output;
 }
 
 // ---------------------------------------------------------------------------

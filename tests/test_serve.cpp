@@ -15,7 +15,6 @@
 #include "fault/fault.hpp"
 #include "nn/models.hpp"
 #include "nn/trainer.hpp"
-#include "tensor/arena.hpp"
 #include "tensor/parallel.hpp"
 #include "tensor/rng.hpp"
 #include "tensor/sparse.hpp"
@@ -74,7 +73,6 @@ class ServeTest : public ::testing::Test {
   void TearDown() override {
     fault::configure("");
     sparse::reset();
-    mem::reset();
     parallel::set_num_threads(0);
     fs::remove_all(dir_);
   }
@@ -394,69 +392,65 @@ TEST_F(ServeTest, ServedLogitsMatchDirectPredictAcrossEngines) {
 
   for (const int threads : {1, 3}) {
     for (const sparse::Mode sm : {sparse::Mode::kOff, sparse::Mode::kAuto}) {
-      for (const mem::Mode mm : {mem::Mode::kOff, mem::Mode::kOn}) {
-        SCOPED_TRACE("threads=" + std::to_string(threads) + " sparse=" +
-                     sparse::mode_name(sm) + " arena=" + mem::mode_name(mm));
-        parallel::set_num_threads(threads);
-        sparse::force(sm);
-        mem::force(mm);
+      SCOPED_TRACE("threads=" + std::to_string(threads) + " sparse=" + sparse::mode_name(sm));
+      parallel::set_num_threads(threads);
+      sparse::force(sm);
 
-        const std::string dir = dir_ + "_x";
-        fs::remove_all(dir);
-        exp::ArtifactCache cache(dir);
-        const auto spec = make_family(cache);
-        ModelRegistry registry(spec, cache);
-        Router router(registry);
-        core::PotentialEvidence high;
-        high.train = 0.95;
-        high.test_average = 0.9;
-        high.test_minimum = 0.85;  // covers fam/p80
-        router.set_evidence("nominal", high);
+      const std::string dir = dir_ + "_x";
+      fs::remove_all(dir);
+      exp::ArtifactCache cache(dir);
+      const auto spec = make_family(cache);
+      ModelRegistry registry(spec, cache);
+      Router router(registry);
+      core::PotentialEvidence high;
+      high.train = 0.95;
+      high.test_average = 0.9;
+      high.test_minimum = 0.85;  // covers fam/p80
+      router.set_evidence("nominal", high);
 
-        // Reference: direct single-sample predict on an independently loaded
-        // copy of the routed variant.
-        auto ref_net = nn::build_network(spec.arch, task, 0);
-        ref_net->load_state(*cache.get_state("fam/p80"));
-        ref_net->enforce_masks();
-        const Tensor ref = nn::predict(*ref_net, images, /*batch_size=*/1);
+      // Reference: direct single-sample predict on an independently loaded
+      // copy of the routed variant.
+      auto ref_net = nn::build_network(spec.arch, task, 0);
+      ref_net->load_state(*cache.get_state("fam/p80"));
+      ref_net->enforce_masks();
+      const Tensor ref = nn::predict(*ref_net, images, /*batch_size=*/1);
 
-        EngineConfig cfg;
-        cfg.max_batch = 5;  // never divides the request count evenly
-        cfg.max_wait_us = 200;
-        Engine engine(registry, router, cfg);
-        engine.start();
+      EngineConfig cfg;
+      cfg.max_batch = 5;  // never divides the request count evenly
+      cfg.max_wait_us = 200;
+      Engine engine(registry, router, cfg);
+      engine.start();
 
-        std::vector<Tensor> got(kClients * kPerClient);
-        std::vector<std::string> keys(kClients * kPerClient);
-        std::vector<std::thread> clients;  // rp-lint: allow(R2) concurrent client load is the thing under test
-        clients.reserve(kClients);
-        for (int c = 0; c < kClients; ++c) {
-          clients.emplace_back([&, c] {  // rp-lint: allow(R2) see above
-            for (int i = 0; i < kPerClient; ++i) {
-              const int idx = c * kPerClient + i;
-              RouteInfo info;
-              while (!engine.infer(nth_image(images, idx), "nominal", &got[idx], &info)) {
-              }
-              keys[idx] = info.variant_key;
+      std::vector<Tensor> got(kClients * kPerClient);
+      std::vector<std::string> keys(kClients * kPerClient);
+      std::vector<std::thread> clients;  // rp-lint: allow(R2) concurrent client load is the thing under test
+      clients.reserve(kClients);
+      for (int c = 0; c < kClients; ++c) {
+        clients.emplace_back([&, c] {  // rp-lint: allow(R2) see above
+          for (int i = 0; i < kPerClient; ++i) {
+            const int idx = c * kPerClient + i;
+            RouteInfo info;
+            while (!engine.infer(nth_image(images, idx), "nominal", &got[idx], &info)) {
             }
-          });
-        }
-        for (auto& t : clients) t.join();
-        engine.stop();
-
-        const int64_t row = ref.numel() / ref.size(0);
-        for (int idx = 0; idx < kClients * kPerClient; ++idx) {
-          EXPECT_EQ(keys[idx], "fam/p80");
-          ASSERT_EQ(got[idx].numel(), row);
-          EXPECT_EQ(std::memcmp(got[idx].data().data(), ref.data().data() + idx * row,
-                                static_cast<size_t>(row) * sizeof(float)),
-                    0)
-              << "sample " << idx << " diverged from direct predict";
-        }
-        EXPECT_EQ(engine.stats().requests, kClients * kPerClient);
-        EXPECT_GE(engine.stats().batches, 3);  // 12 requests / max_batch 5
-        fs::remove_all(dir);
+            keys[idx] = info.variant_key;
+          }
+        });
       }
+      for (auto& t : clients) t.join();
+      engine.stop();
+
+      const int64_t row = ref.numel() / ref.size(0);
+      for (int idx = 0; idx < kClients * kPerClient; ++idx) {
+        EXPECT_EQ(keys[idx], "fam/p80");
+        ASSERT_EQ(got[idx].numel(), row);
+        EXPECT_EQ(std::memcmp(got[idx].data().data(), ref.data().data() + idx * row,
+                              static_cast<size_t>(row) * sizeof(float)),
+                  0)
+            << "sample " << idx << " diverged from direct predict";
+      }
+      EXPECT_EQ(engine.stats().requests, kClients * kPerClient);
+      EXPECT_GE(engine.stats().batches, 3);  // 12 requests / max_batch 5
+      fs::remove_all(dir);
     }
   }
 }

@@ -66,7 +66,6 @@ TEST(SimdDispatch, EveryCompiledTableIsComplete) {
     if (t == nullptr) continue;
     EXPECT_NE(t->gemm_panel, nullptr);
     EXPECT_NE(t->csr_gemm, nullptr);
-    EXPECT_NE(t->block_gemm, nullptr);
     EXPECT_NE(t->relu, nullptr);
     EXPECT_NE(t->relu_grad, nullptr);
     EXPECT_NE(t->add, nullptr);

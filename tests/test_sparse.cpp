@@ -1,38 +1,28 @@
 // Sparse execution engine suite (DESIGN.md §6 "Sparse execution"). The
-// contract under test: compiled CSR / 4×8 block layouts reconstruct the
-// dense weight bit-for-bit, the sparse×dense kernels are memcmp-identical
-// to the dense reference across the full RP_SPARSE × RP_SIMD × RP_THREADS
-// matrix, serialized sparse artifacts ride the checked RPT footer (damage
-// raises CorruptArtifact for quarantine, never a crash), and the obs
-// counters observe the sparse path without perturbing a single bit.
+// contract under test: the compiled CSR layout reconstructs the dense
+// weight bit-for-bit, the sparse×dense kernel is memcmp-identical to the
+// dense reference across the full RP_SPARSE × RP_SIMD × RP_THREADS matrix,
+// and the obs counters observe the sparse path without perturbing a single
+// bit.
 
 #include "tensor/sparse.hpp"
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <string>
-#include <vector>
 
 #include "core/pruner.hpp"
-#include "fault/fault.hpp"
 #include "nn/models.hpp"
 #include "nn/network.hpp"
 #include "nn/trainer.hpp"
 #include "obs/obs.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/parallel.hpp"
-#include "tensor/serialize.hpp"
 #include "tensor/simd.hpp"
 
 namespace rp {
 namespace {
-
-namespace fs = std::filesystem;
 
 /// Restores RP_SPARSE env resolution when a test exits, pass or fail.
 struct SparseGuard {
@@ -56,7 +46,7 @@ bool bits_equal(const Tensor& a, const Tensor& b) {
 }
 
 /// Random matrix pruned unstructured to roughly `density`, with row
-/// `rows / 2` fully zeroed so every layout handles an empty row.
+/// `rows / 2` fully zeroed so both layouts handle an empty row.
 Tensor make_pruned(int64_t rows, int64_t cols, double density, uint64_t seed) {
   Rng rng(seed);
   Tensor w = Tensor::randn(Shape{rows, cols}, rng);
@@ -74,9 +64,9 @@ Tensor make_pruned(int64_t rows, int64_t cols, double density, uint64_t seed) {
 const double kDensities[] = {1.0, 0.5, 0.2, 0.1, 0.05, 0.0};
 const std::pair<int64_t, int64_t> kShapes[] = {
     {1, 1},    // degenerate
-    {7, 13},   // smaller than one tile in both dims' remainder
-    {10, 40},  // ragged rows (10 % 4 != 0), exact block columns
-    {64, 64},  // exact tile multiples
+    {7, 13},   // odd in both dims
+    {10, 40},  // wide
+    {64, 64},  // square
 };
 
 // ---------------------------------------------------------------------------
@@ -94,11 +84,9 @@ TEST(SparseMode, ForceAndResetPinTheMode) {
   // mode with a printable name.
   EXPECT_STREQ(sparse::mode_name(sparse::Mode::kOff), "off");
   EXPECT_STREQ(sparse::mode_name(sparse::Mode::kCsr), "csr");
-  EXPECT_STREQ(sparse::mode_name(sparse::Mode::kBlock), "block");
   EXPECT_STREQ(sparse::mode_name(sparse::Mode::kAuto), "auto");
   EXPECT_STREQ(sparse::layout_name(sparse::Layout::kDense), "dense");
   EXPECT_STREQ(sparse::layout_name(sparse::Layout::kCsr), "csr");
-  EXPECT_STREQ(sparse::layout_name(sparse::Layout::kBlock), "block");
 }
 
 // ---------------------------------------------------------------------------
@@ -113,40 +101,50 @@ TEST(SparseAnalyze, AutoKeepsDenseAtHighDensity) {
 }
 
 TEST(SparseAnalyze, AutoPicksCsrForUnstructuredLowDensity) {
-  // At unstructured 10% density nearly every 4×8 tile is occupied at ~3/32
-  // slots — block would be mostly padding, so auto must pick CSR.
+  // Weight thresholding (WT/SiPP) leaves scattered zeros.
   const Tensor w = make_pruned(64, 64, 0.1, 2);
   const auto plan = sparse::analyze(w, sparse::Mode::kAuto);
   EXPECT_EQ(plan.layout, sparse::Layout::kCsr);
-  EXPECT_LT(plan.block_occupancy, sparse::kBlockOccupancyThreshold);
+  EXPECT_LT(plan.density, sparse::kDenseDensityThreshold);
 }
 
-TEST(SparseAnalyze, AutoPicksBlockForStructuredSparsity) {
-  // Keep two fully-dense 4×8 tiles, zero everything else: occupancy 1.0 at
-  // density 64/4096 — exactly the pattern the tile format is for.
+TEST(SparseAnalyze, AutoPicksCsrForFilterPrunedRows) {
+  // Filter pruning (FT/PFP) zeroes whole output rows: keep every third row
+  // dense, zero the rest — density 22/64, below the dense threshold.
+  ThreadGuard thread_guard;
   Rng rng(3);
-  Tensor w = Tensor::randn(Shape{64, 64}, rng);
+  Tensor w = Tensor::randn(Shape{64, 48}, rng);
   for (int64_t i = 0; i < 64; ++i) {
-    for (int64_t j = 0; j < 64; ++j) {
-      const bool keep = (i < 4 && j < 8) || (i >= 32 && i < 36 && j >= 16 && j < 24);
-      if (!keep) w.at(i, j) = 0.0f;
-    }
+    if (i % 3 == 0) continue;
+    for (int64_t j = 0; j < 48; ++j) w.at(i, j) = 0.0f;
   }
   const auto plan = sparse::analyze(w, sparse::Mode::kAuto);
-  EXPECT_EQ(plan.layout, sparse::Layout::kBlock);
-  EXPECT_EQ(plan.nnz, 64);
-  EXPECT_DOUBLE_EQ(plan.block_occupancy, 1.0);
+  EXPECT_EQ(plan.layout, sparse::Layout::kCsr);
+  EXPECT_EQ(plan.nnz, 22 * 48);
+  EXPECT_LT(plan.density, sparse::kDenseDensityThreshold);
+
+  const auto sw = sparse::compile(w, sparse::Mode::kAuto);
+  ASSERT_EQ(sw.layout, sparse::Layout::kCsr);
+  const Tensor b = Tensor::randn(Shape{48, 37}, rng);
+  Tensor ref(Shape{64, 37});
+  gemm(w, b, ref);
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    parallel::set_num_threads(threads);
+    Tensor c(Shape{64, 37});
+    sparse::matmul_into(sw, b, c);
+    EXPECT_TRUE(bits_equal(c, ref));
+  }
 }
 
 TEST(SparseAnalyze, ForcedModesOverrideTheMeasurement) {
   const Tensor w = make_pruned(16, 16, 1.0, 4);
   EXPECT_EQ(sparse::analyze(w, sparse::Mode::kOff).layout, sparse::Layout::kDense);
   EXPECT_EQ(sparse::analyze(w, sparse::Mode::kCsr).layout, sparse::Layout::kCsr);
-  EXPECT_EQ(sparse::analyze(w, sparse::Mode::kBlock).layout, sparse::Layout::kBlock);
 }
 
 // ---------------------------------------------------------------------------
-// compile() / to_dense(): exact round-trip in every layout
+// compile() / to_dense(): exact round-trip in both layouts
 
 TEST(SparseRoundTrip, EveryLayoutReconstructsEveryDensityBitExact) {
   uint64_t seed = 10;
@@ -155,8 +153,7 @@ TEST(SparseRoundTrip, EveryLayoutReconstructsEveryDensityBitExact) {
       SCOPED_TRACE(std::to_string(rows) + "x" + std::to_string(cols) + " @ " +
                    std::to_string(density));
       const Tensor w = make_pruned(rows, cols, density, seed++);
-      for (const auto mode :
-           {sparse::Mode::kOff, sparse::Mode::kCsr, sparse::Mode::kBlock, sparse::Mode::kAuto}) {
+      for (const auto mode : {sparse::Mode::kOff, sparse::Mode::kCsr, sparse::Mode::kAuto}) {
         SCOPED_TRACE(sparse::mode_name(mode));
         const auto sw = sparse::compile(w, mode);
         EXPECT_TRUE(bits_equal(sw.to_dense(), w));
@@ -170,7 +167,7 @@ TEST(SparseRoundTrip, EveryLayoutReconstructsEveryDensityBitExact) {
 
 TEST(SparseRoundTrip, AllZeroMatrixCompilesToEmptySparseForms) {
   Tensor w = Tensor::zeros(Shape{12, 20});
-  for (const auto mode : {sparse::Mode::kCsr, sparse::Mode::kBlock, sparse::Mode::kAuto}) {
+  for (const auto mode : {sparse::Mode::kCsr, sparse::Mode::kAuto}) {
     SCOPED_TRACE(sparse::mode_name(mode));
     const auto sw = sparse::compile(w, mode);
     EXPECT_EQ(sw.nnz, 0);
@@ -193,7 +190,7 @@ TEST(SparseMatmul, MatchesDenseGemmBitExactAcrossLayoutsAndThreads) {
       const Tensor b = Tensor::randn(Shape{cols, n}, rng);
       Tensor ref(Shape{rows, n});
       gemm(w, b, ref);
-      for (const auto mode : {sparse::Mode::kCsr, sparse::Mode::kBlock}) {
+      for (const auto mode : {sparse::Mode::kCsr, sparse::Mode::kAuto}) {
         for (const int threads : {1, 4}) {
           SCOPED_TRACE(std::string(sparse::mode_name(mode)) + " threads=" +
                        std::to_string(threads) + " " + std::to_string(rows) + "x" +
@@ -217,7 +214,7 @@ TEST(SparseMatmul, RhsOrientationMatchesLinearReferenceBitExact) {
   const Tensor x = Tensor::randn(Shape{9, 40}, rng);  // batch of 9
   Tensor ref(Shape{9, 24});
   gemm(x, w, ref, /*trans_a=*/false, /*trans_b=*/true);
-  for (const auto mode : {sparse::Mode::kCsr, sparse::Mode::kBlock}) {
+  for (const auto mode : {sparse::Mode::kCsr, sparse::Mode::kAuto}) {
     for (const int threads : {1, 3}) {
       SCOPED_TRACE(std::string(sparse::mode_name(mode)) + " threads=" + std::to_string(threads));
       parallel::set_num_threads(threads);
@@ -231,104 +228,17 @@ TEST(SparseMatmul, RhsOrientationMatchesLinearReferenceBitExact) {
 
 TEST(SparseMatmul, ScalarVsDispatchedKernelsBitExact) {
   SimdGuard simd_guard;
-  const Tensor w = make_pruned(33, 65, 0.2, 90);  // ragged in rows, cols, tiles
+  const Tensor w = make_pruned(33, 65, 0.2, 90);  // odd rows and cols
   Rng rng(91);
   const Tensor b = Tensor::randn(Shape{65, 57}, rng);
-  for (const auto mode : {sparse::Mode::kCsr, sparse::Mode::kBlock}) {
-    SCOPED_TRACE(sparse::mode_name(mode));
-    const auto sw = sparse::compile(w, mode);
-    simd::force(simd::Isa::kScalar);
-    Tensor c_scalar(Shape{33, 57});
-    sparse::matmul_into(sw, b, c_scalar);
-    simd::reset();
-    Tensor c_auto(Shape{33, 57});
-    sparse::matmul_into(sw, b, c_auto);
-    EXPECT_TRUE(bits_equal(c_scalar, c_auto));
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Serialization: checked RPT bundles, quarantine on damage
-
-class SparseTestFiles : public ::testing::Test {
- protected:
-  void SetUp() override {
-    dir_ = (fs::temp_directory_path() / ("rp_sparse_test_" + std::to_string(::getpid())))
-               .string();
-    fs::remove_all(dir_);
-    fs::create_directories(dir_);
-    fault::configure("");
-  }
-  void TearDown() override {
-    fault::configure("");
-    fs::remove_all(dir_);
-  }
-  std::string dir_;
-};
-
-TEST_F(SparseTestFiles, TensorBundleRoundTripsEveryLayout) {
-  uint64_t seed = 200;
-  for (const auto mode : {sparse::Mode::kOff, sparse::Mode::kCsr, sparse::Mode::kBlock}) {
-    SCOPED_TRACE(sparse::mode_name(mode));
-    const Tensor w = make_pruned(18, 26, 0.15, seed++);
-    const auto sw = sparse::compile(w, mode);
-    const auto items = sparse::to_tensors(sw, "sparse");
-    const auto back = sparse::from_tensors(items, "sparse");
-    EXPECT_EQ(back.layout, sw.layout);
-    EXPECT_EQ(back.nnz, sw.nnz);
-    EXPECT_TRUE(bits_equal(back.to_dense(), w));
-  }
-}
-
-TEST_F(SparseTestFiles, FileRoundTripsThroughTheCheckedFooter) {
-  const Tensor w = make_pruned(20, 36, 0.1, 210);
-  const std::string path = dir_ + "/weight.sparse.bin";
-  sparse::save_sparse_file(path, sparse::compile(w, sparse::Mode::kCsr));
-  const auto back = sparse::load_sparse_file(path);
-  EXPECT_EQ(back.layout, sparse::Layout::kCsr);
-  EXPECT_TRUE(bits_equal(back.to_dense(), w));
-}
-
-TEST_F(SparseTestFiles, InjectedBitflipRaisesCorruptArtifactNotACrash) {
-  const Tensor w = make_pruned(20, 36, 0.1, 220);
-  const std::string path = dir_ + "/flipped.sparse.bin";
-  // RP_FAULTS bitflip: the payload is damaged in flight during the durable
-  // write; the CRC32C footer (computed before the flip) must catch it at
-  // load and report CorruptArtifact — the type cache layers quarantine on.
-  fault::configure("bitflip:once=1");
-  sparse::save_sparse_file(path, sparse::compile(w, sparse::Mode::kCsr));
-  fault::configure("");
-  EXPECT_THROW(sparse::load_sparse_file(path), CorruptArtifact);
-}
-
-TEST_F(SparseTestFiles, HandFlippedPayloadByteRaisesCorruptArtifact) {
-  const Tensor w = make_pruned(16, 16, 0.2, 230);
-  const std::string path = dir_ + "/rot.sparse.bin";
-  sparse::save_sparse_file(path, sparse::compile(w, sparse::Mode::kBlock));
-  std::string bytes;
-  {
-    std::ifstream is(path, std::ios::binary);
-    bytes.assign(std::istreambuf_iterator<char>(is), std::istreambuf_iterator<char>());
-  }
-  bytes[bytes.size() / 2] = static_cast<char>(
-      static_cast<unsigned char>(bytes[bytes.size() / 2]) ^ 0x08u);
-  {
-    std::ofstream os(path, std::ios::binary | std::ios::trunc);
-    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  }
-  EXPECT_THROW(sparse::load_sparse_file(path), CorruptArtifact);
-}
-
-TEST_F(SparseTestFiles, StructurallyDamagedBundleRaisesCorruptArtifact) {
-  const Tensor w = make_pruned(12, 24, 0.2, 240);
-  auto items = sparse::to_tensors(sparse::compile(w, sparse::Mode::kCsr), "sparse");
-  // Point a stored column index past the matrix edge: the payload still
-  // parses as tensors, only structural validation can reject it.
-  for (auto& [name, t] : items) {
-    if (name == "sparse.col_idx" && t.numel() > 0) t.data()[0] = 1e6f;
-  }
-  EXPECT_THROW(sparse::from_tensors(items, "sparse"), CorruptArtifact);
-  EXPECT_THROW(sparse::from_tensors({}, "sparse"), CorruptArtifact);
+  const auto sw = sparse::compile(w, sparse::Mode::kCsr);
+  simd::force(simd::Isa::kScalar);
+  Tensor c_scalar(Shape{33, 57});
+  sparse::matmul_into(sw, b, c_scalar);
+  simd::reset();
+  Tensor c_auto(Shape{33, 57});
+  sparse::matmul_into(sw, b, c_auto);
+  EXPECT_TRUE(bits_equal(c_scalar, c_auto));
 }
 
 // ---------------------------------------------------------------------------
@@ -350,7 +260,7 @@ TEST(SparsePredict, MemcmpIdenticalAcrossSparseSimdThreadMatrix) {
   parallel::set_num_threads(1);
   const Tensor ref = nn::predict(*net, images, 4);
 
-  for (const auto mode : {sparse::Mode::kCsr, sparse::Mode::kBlock, sparse::Mode::kAuto}) {
+  for (const auto mode : {sparse::Mode::kCsr, sparse::Mode::kAuto}) {
     for (const bool scalar : {true, false}) {
       for (const int threads : {1, 4}) {
         SCOPED_TRACE(std::string("RP_SPARSE=") + sparse::mode_name(mode) +

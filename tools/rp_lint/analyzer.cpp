@@ -1,7 +1,6 @@
-// rp-lint analyzer implementation: tokenizer, per-file model (suppressions
-// with statement extents, includes, hot marks, function definitions), and
-// the whole-tree links (name-merged call graph reachability from hot entry
-// points). See analyzer.hpp for the model contract.
+// rp-lint analyzer implementation: tokenizer and per-file model
+// (suppressions with statement extents, includes). See analyzer.hpp for the
+// model contract.
 
 #include "analyzer.hpp"
 
@@ -33,7 +32,7 @@ bool parse_allow(const std::string& comment, std::set<std::string>* rules) {
 bool ident_start(char c) { return std::isalpha(static_cast<unsigned char>(c)) || c == '_'; }
 bool ident_char(char c) { return std::isalnum(static_cast<unsigned char>(c)) || c == '_'; }
 
-/// Tokenizes `src` into fm: comments feed suppressions and hot marks,
+/// Tokenizes `src` into fm: comments feed suppressions,
 /// `#include "..."` string payloads are captured for the include graph, and
 /// every other string/char literal is skipped (its content can never trip a
 /// rule or fake a suppression — raw strings included).
@@ -51,9 +50,6 @@ void tokenize(const std::string& src, FileModel* fm) {
     std::set<std::string> rules;
     if (parse_allow(body, &rules)) {
       fm->suppressions.push_back({start_line, !had_code, end_line, std::move(rules)});
-    }
-    if (body.find("rp-lint: hot") != std::string::npos) {
-      fm->hot_marks.push_back({start_line, !had_code});
     }
   };
 
@@ -174,106 +170,6 @@ int statement_end_line(const std::vector<Token>& t, int after_line) {
   return last;
 }
 
-/// Finds function definitions by classifying each '{' from its statement
-/// head (the R3 scope walk, grown to record bodies): a head with a top-level
-/// parameter list `ident (`, no top-level `=`, at namespace/class scope, is
-/// a function definition named by that ident.
-void parse_functions(FileModel* fm) {
-  const auto& t = fm->tokens;
-  struct ScopeEnt {
-    char kind;  // 'n' namespace, 'c' class, 'f' function body, 'b' block
-    int func;   // index into fm->functions when kind == 'f'
-  };
-  std::vector<ScopeEnt> stack;
-  std::size_t stmt_start = 0;
-  auto at_type_scope = [&] {
-    for (const ScopeEnt& s : stack) {
-      if (s.kind == 'f' || s.kind == 'b') return false;
-    }
-    return true;
-  };
-
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    const std::string& s = t[i].text;
-    if (s == "#") {
-      const int dir_line = t[i].line;
-      while (i + 1 < t.size() && t[i + 1].line == dir_line) ++i;
-      stmt_start = i + 1;
-      continue;
-    }
-    if (s == "{") {
-      char kind = 'b';
-      int func = -1;
-      bool has_class = false, has_ns = false, has_eq = false;
-      int depth = 0;
-      std::string fname;
-      for (std::size_t j = stmt_start; j < i; ++j) {
-        const std::string& h = t[j].text;
-        if (h == "(" || h == "[" || h == "<") {
-          if (h == "(" && depth == 0 && fname.empty() && j > stmt_start &&
-              t[j - 1].kind == Tok::Ident && !is_keyword(t[j - 1].text) && !has_eq) {
-            fname = t[j - 1].text;
-          }
-          ++depth;
-        } else if (h == ")" || h == "]" || h == ">") {
-          depth = std::max(0, depth - 1);
-        } else if (depth == 0) {
-          if (h == "namespace") has_ns = true;
-          if (h == "class" || h == "struct" || h == "union" || h == "enum") has_class = true;
-          if (h == "=") has_eq = true;
-        }
-      }
-      if (has_ns) {
-        kind = 'n';
-      } else if (has_class) {
-        kind = 'c';
-      } else if (!fname.empty() && !has_eq && at_type_scope()) {
-        kind = 'f';
-        FunctionInfo fi;
-        fi.name = fname;
-        fi.head_line = stmt_start < i ? t[stmt_start].line : t[i].line;
-        fi.body_line = t[i].line;
-        fi.body_begin = i + 1;
-        fi.body_end = i + 1;  // patched when the matching '}' pops
-        fm->functions.push_back(std::move(fi));
-        func = static_cast<int>(fm->functions.size()) - 1;
-      }
-      stack.push_back({kind, func});
-      stmt_start = i + 1;
-      continue;
-    }
-    if (s == "}") {
-      if (!stack.empty()) {
-        if (stack.back().func >= 0) {
-          fm->functions[static_cast<std::size_t>(stack.back().func)].body_end = i;
-        }
-        stack.pop_back();
-      }
-      stmt_start = i + 1;
-      continue;
-    }
-    if (s == ";") stmt_start = i + 1;
-  }
-
-  // Hot marks: inline within the header span, or own-line directly above it.
-  for (FunctionInfo& fi : fm->functions) {
-    for (const HotMark& m : fm->hot_marks) {
-      if (m.own_line ? m.line + 1 == fi.head_line
-                     : m.line >= fi.head_line && m.line <= fi.body_line) {
-        fi.hot = true;
-      }
-    }
-    // Callee names: every `ident (` in the body. Filtered against defined
-    // function names at link time, so stray matches cost nothing.
-    const auto& tk = fm->tokens;
-    for (std::size_t j = fi.body_begin; j + 1 < fi.body_end; ++j) {
-      if (tk[j].kind == Tok::Ident && !is_keyword(tk[j].text) && tk[j + 1].text == "(") {
-        fi.callees.insert(tk[j].text);
-      }
-    }
-  }
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -300,43 +196,7 @@ FileModel build_file_model(std::string rel_path, const std::string& src) {
     // still covers the statement that follows it.
     sup.end_line = sup.own_line ? statement_end_line(fm.tokens, sup.end_line) : sup.line;
   }
-  parse_functions(&fm);
   return fm;
-}
-
-TreeModel link_tree(const std::vector<FileModel>& files) {
-  TreeModel tm;
-  for (std::size_t i = 0; i < files.size(); ++i) tm.path_index[files[i].path] = i;
-
-  // Name-merged call graph: all definitions of one name share a node. This
-  // over-approximates reachability (any caller of `forward` reaches every
-  // `forward`), which is the right direction for a lint.
-  std::map<std::string, std::set<std::string>> callees_of;
-  std::vector<std::pair<std::string, std::string>> roots;  // (name, root label)
-  for (const FileModel& fm : files) {
-    for (const FunctionInfo& fi : fm.functions) {
-      auto& out = callees_of[fi.name];
-      out.insert(fi.callees.begin(), fi.callees.end());
-      if (fi.hot) roots.emplace_back(fi.name, fi.name);
-    }
-  }
-  std::sort(roots.begin(), roots.end());
-  std::vector<std::string> queue;
-  for (const auto& [name, root] : roots) {
-    if (tm.hot_reach.emplace(name, root).second) queue.push_back(name);
-  }
-  while (!queue.empty()) {
-    const std::string name = queue.back();
-    queue.pop_back();
-    const std::string root = tm.hot_reach.at(name);
-    auto it = callees_of.find(name);
-    if (it == callees_of.end()) continue;
-    for (const std::string& callee : it->second) {
-      if (!callees_of.count(callee)) continue;  // not defined in the model
-      if (tm.hot_reach.emplace(callee, root).second) queue.push_back(callee);
-    }
-  }
-  return tm;
 }
 
 std::size_t match_bracket(const std::vector<Token>& t, std::size_t open) {
@@ -373,22 +233,16 @@ std::vector<std::pair<std::size_t, std::size_t>> split_call_args(const std::vect
   return args;
 }
 
-void apply_suppressions(const FileModel& fm, bool keep_suppressed, std::vector<Finding>* findings,
-                        std::vector<std::set<std::string>>* matched) {
-  if (matched != nullptr) {
-    matched->assign(fm.suppressions.size(), {});
-  }
+void apply_suppressions(const FileModel& fm, bool keep_suppressed, std::vector<Finding>* findings) {
   std::vector<Finding> kept;
   for (Finding& f : *findings) {
     bool suppressed = false;
-    for (std::size_t si = 0; si < fm.suppressions.size(); ++si) {
-      const Suppression& sup = fm.suppressions[si];
+    for (const Suppression& sup : fm.suppressions) {
       const int lo = sup.own_line ? sup.line + 1 : sup.line;
       const int hi = sup.own_line ? sup.end_line : sup.line;
       if (f.line >= lo && f.line <= hi &&
           (sup.rules.count(f.rule) || sup.rules.count("all"))) {
         suppressed = true;
-        if (matched != nullptr) (*matched)[si].insert(f.rule);
         break;
       }
     }

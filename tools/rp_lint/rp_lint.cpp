@@ -1,9 +1,9 @@
 // rp-lint driver: determinism & discipline linter for this repo.
 //
 // Phase 1 runs the per-file token rules (R1–R9, rules_token.cpp) while the
-// tree of file models is built in parallel; phase 2 links the models into a
-// whole-tree view (include graph, hot-path reachability) and runs the
-// semantic rules (R10–R12, rules_semantic.cpp). `rp-lint --list-rules`
+// tree of file models is built in parallel; phase 2 runs the semantic rules
+// (R10–R11, rules_semantic.cpp) over those models, R11 across the whole
+// include graph. `rp-lint --list-rules`
 // summarizes all rules; DESIGN.md §7 carries the rationale.
 //
 // Exit codes: 0 clean, 1 violations, 2 usage/IO error.
@@ -57,15 +57,13 @@ std::vector<std::string> collect_tree(const fs::path& root) {
 int usage() {
   std::cerr
       << "usage: rp_lint [--root DIR] [--force-all-rules] [--list-rules] [--json]\n"
-      << "               [--show-suppressed] [--r12-burndown] [FILE...]\n"
+      << "               [--show-suppressed] [FILE...]\n"
       << "  With no FILEs, lints src/ tools/ bench/ examples/ tests/ under --root\n"
       << "  (default: current directory), minus tests/lint_fixtures/.\n"
       << "  --force-all-rules ignores path-based rule scoping (fixture testing).\n"
       << "  --json emits findings as a JSON array on stdout instead of text.\n"
       << "  --show-suppressed also emits allow()-suppressed findings, tagged;\n"
-      << "  they never count toward the exit code.\n"
-      << "  --r12-burndown flags stale allow(R12) comments: an allow whose\n"
-      << "  covered statement no longer triggers R12 is itself a violation.\n";
+      << "  they never count toward the exit code.\n";
   return 2;
 }
 
@@ -81,8 +79,7 @@ void list_rules() {
       << "R8  raw ofstream/filesystem::rename artifact I/O in src/ bypassing fault::durable_write\n"
       << "R9  direct gemm() calls in src/nn, src/core bypassing the sparse execution engine\n"
       << "R10 parallel_for/run_shards lambda writes a by-reference capture outside the disjoint-index idioms\n"
-      << "R11 #include edge violates the committed src/ layer DAG, or the include graph has a cycle\n"
-      << "R12 Tensor construction / new / growing-container call in a function reachable from a `// rp-lint: hot` entry point\n";
+      << "R11 #include edge violates the committed src/ layer DAG, or the include graph has a cycle\n";
 }
 
 std::string json_escape(const std::string& s) {
@@ -134,7 +131,6 @@ int main(int argc, char** argv) {
   bool force_all = false;
   bool json = false;
   bool show_suppressed = false;
-  bool r12_burndown = false;
   std::vector<std::string> files;
   for (int a = 1; a < argc; ++a) {
     const std::string arg = argv[a];
@@ -146,8 +142,6 @@ int main(int argc, char** argv) {
       json = true;
     } else if (arg == "--show-suppressed") {
       show_suppressed = true;
-    } else if (arg == "--r12-burndown") {
-      r12_burndown = true;
     } else if (arg == "--list-rules") {
       list_rules();
       return 0;
@@ -181,34 +175,17 @@ int main(int argc, char** argv) {
   });
   if (io_error.load()) return 2;
 
-  // Phase 2: link the tree, then semantic rules (parallel per file) and the
-  // layering/cycle check over the whole include graph.
-  const TreeModel tm = link_tree(models);
+  // Phase 2: semantic rules (parallel per file) and the layering/cycle check
+  // over the whole include graph.
   parallel_scan(files.size(), [&](std::size_t i) {
-    run_file_semantic_rules(models[i], tm, force_all, &per_file[i]);
+    run_file_semantic_rules(models[i], force_all, &per_file[i]);
   });
-  run_layering_rule(models, tm, &per_file);
+  run_layering_rule(models, &per_file);
 
   std::vector<Finding> findings;
   for (std::size_t i = 0; i < files.size(); ++i) {
-    std::vector<std::set<std::string>> matched;
-    apply_suppressions(models[i], show_suppressed, &per_file[i],
-                       r12_burndown ? &matched : nullptr);
+    apply_suppressions(models[i], show_suppressed, &per_file[i]);
     findings.insert(findings.end(), per_file[i].begin(), per_file[i].end());
-    if (!r12_burndown) continue;
-    // Stale-suppression rot: an allow(R12) whose covered statement no longer
-    // triggers R12 is dead weight that silently re-licenses a future
-    // allocation. Injected after suppression matching, so an allow can never
-    // excuse its own staleness.
-    for (std::size_t si = 0; si < models[i].suppressions.size(); ++si) {
-      const Suppression& sup = models[i].suppressions[si];
-      if (!sup.rules.count("R12") || matched[si].count("R12")) continue;
-      findings.push_back(
-          {models[i].path, sup.line, "R12",
-           "stale allow(R12): the covered statement no longer allocates on a hot path; "
-           "delete the suppression (or drop R12 from its rule list)",
-           false});
-    }
   }
   std::sort(findings.begin(), findings.end(), [](const Finding& a, const Finding& b) {
     if (a.path != b.path) return a.path < b.path;

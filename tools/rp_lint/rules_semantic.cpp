@@ -8,10 +8,6 @@
 //   R11 layering        — #include edges between src/ layers must follow the
 //                         committed layer DAG (layer_allowed_edges()), and
 //                         the file-level include graph must stay acyclic.
-//   R12 hot-path alloc  — Tensor construction, operator new, and growing-
-//                         container calls in functions reachable from
-//                         `// rp-lint: hot` entry points (name-merged call
-//                         graph): the arena-refactor inventory.
 
 #include "analyzer.hpp"
 
@@ -243,7 +239,7 @@ Lhs parse_lhs(const std::vector<Token>& t, const LambdaInfo& lam, std::size_t bo
   return lhs;
 }
 
-/// Container-growing member calls R10/R12 treat as writes/allocations.
+/// Container-growing member calls R10 treats as writes.
 bool is_grow_call(const std::string& s) {
   static const std::set<std::string> kGrow = {"push_back", "emplace_back", "resize",
                                               "reserve",   "insert",       "emplace"};
@@ -252,14 +248,10 @@ bool is_grow_call(const std::string& s) {
 
 class SemanticRules {
  public:
-  SemanticRules(const FileModel& fm, const TreeModel& tm, bool force_all,
-                std::vector<Finding>* out)
-      : fm_(fm), tm_(tm), force_all_(force_all), out_(out) {}
+  SemanticRules(const FileModel& fm, bool force_all, std::vector<Finding>* out)
+      : fm_(fm), force_all_(force_all), out_(out) {}
 
-  void run() {
-    rule_r10();
-    rule_r12();
-  }
+  void run() { rule_r10(); }
 
  private:
   const std::vector<Token>& toks() const { return fm_.tokens; }
@@ -366,81 +358,7 @@ class SemanticRules {
     }
   }
 
-  /// R12: allocation discipline in hot paths. Functions reachable from the
-  /// `// rp-lint: hot` entry points may not construct Tensors, call operator
-  /// new, or grow containers without a triaged allow(R12). The sanctioned
-  /// alternative is Tensor::scratch()/scratch_copy() — qualified calls never
-  /// match the Tensor-construction pattern, and the factory bodies (which by
-  /// definition construct the tensor) are exempted here: they are the
-  /// arena/pool engine, not a hot-path escapee.
-  void rule_r12() {
-    if (!force_all_ && !under(fm_.path, "src/")) return;
-    const auto& t = toks();
-    std::set<std::pair<int, std::string>> seen;  // dedup (line, kind)
-    auto add_once = [&](int line, const std::string& kind, const std::string& msg) {
-      if (seen.emplace(line, kind).second) add(line, "R12", msg);
-    };
-    for (const FunctionInfo& fi : fm_.functions) {
-      if (fm_.path == "src/tensor/tensor.hpp" &&
-          (fi.name == "scratch" || fi.name == "scratch_copy")) {
-        continue;  // the sanctioned construction path itself
-      }
-      const auto reach = tm_.hot_reach.find(fi.name);
-      if (reach == tm_.hot_reach.end()) continue;
-      const std::string ctx = " in hot path '" + fi.name + "' (reachable from hot entry '" +
-                              reach->second + "'); pool/arena/hoist it or allow(R12) with a reason";
-      for (std::size_t j = fi.body_begin; j < fi.body_end; ++j) {
-        const std::string& s = t[j].text;
-        if (t[j].kind != Tok::Ident) continue;
-        if (s == "new") {
-          add_once(t[j].line, "new", "operator new" + ctx);
-          continue;
-        }
-        if (s == "Tensor") {
-          if (j > fi.body_begin &&
-              (t[j - 1].text == "class" || t[j - 1].text == "struct" || t[j - 1].text == "::")) {
-            continue;
-          }
-          if (j + 1 >= fi.body_end) continue;
-          const std::string& next = t[j + 1].text;
-          const bool temp = next == "(" || next == "{";
-          const bool decl = t[j + 1].kind == Tok::Ident && j + 2 < fi.body_end &&
-                            (t[j + 2].text == "(" || t[j + 2].text == "{" ||
-                             t[j + 2].text == "=" || t[j + 2].text == ";");
-          if (temp || decl) {
-            // A declaration whose initializer routes through the sanctioned
-            // factories (`Tensor d = Tensor::scratch_copy(...)`) is the fix,
-            // not the violation: scan the rest of the statement for a
-            // qualified scratch/scratch_copy call before flagging the decl
-            // pattern. A plain identifier named `scratch` does not qualify.
-            bool sanctioned = false;
-            for (std::size_t k = j + 1; k + 1 < fi.body_end && t[k].text != ";"; ++k) {
-              if (t[k].kind == Tok::Ident &&
-                  (t[k].text == "scratch" || t[k].text == "scratch_copy") &&
-                  t[k + 1].text == "(" &&
-                  (t[k - 1].text == "::" || t[k - 1].text == ".")) {
-                sanctioned = true;
-                break;
-              }
-            }
-            if (!sanctioned) {
-              add_once(t[j].line, "tensor", "Tensor construction of '" +
-                                                (decl ? t[j + 1].text : std::string("<temporary>")) +
-                                                "'" + ctx);
-            }
-          }
-          continue;
-        }
-        if (is_grow_call(s) && j + 1 < fi.body_end && t[j + 1].text == "(" &&
-            j > fi.body_begin && (t[j - 1].text == "." || t[j - 1].text == "->")) {
-          add_once(t[j].line, s, "growing-container call '" + s + "'" + ctx);
-        }
-      }
-    }
-  }
-
   const FileModel& fm_;
-  const TreeModel& tm_;
   bool force_all_;
   std::vector<Finding>* out_;
 };
@@ -482,9 +400,11 @@ std::string layer_of(const std::string& path) {
 
 }  // namespace
 
-void run_layering_rule(const std::vector<FileModel>& files, const TreeModel& tm,
+void run_layering_rule(const std::vector<FileModel>& files,
                        std::vector<std::vector<Finding>>* per_file) {
   const auto& allowed = layer_allowed_edges();
+  std::map<std::string, std::size_t> path_index;  // repo-relative path -> file index
+  for (std::size_t i = 0; i < files.size(); ++i) path_index[files[i].path] = i;
 
   // Edge check: every #include "..." between two src/ layers must follow the
   // committed DAG (same layer always allowed).
@@ -536,8 +456,8 @@ void run_layering_rule(const std::vector<FileModel>& files, const TreeModel& tm,
         continue;
       }
       const IncludeEdge& inc = fm.includes[fr.next_inc++];
-      const auto it = tm.path_index.find("src/" + inc.target);
-      if (it == tm.path_index.end()) continue;
+      const auto it = path_index.find("src/" + inc.target);
+      if (it == path_index.end()) continue;
       const std::size_t to = it->second;
       const Color c = color.count(to) ? color[to] : Color::White;
       if (c == Color::Gray) {
@@ -563,9 +483,8 @@ void run_layering_rule(const std::vector<FileModel>& files, const TreeModel& tm,
   }
 }
 
-void run_file_semantic_rules(const FileModel& fm, const TreeModel& tm, bool force_all,
-                             std::vector<Finding>* out) {
-  SemanticRules(fm, tm, force_all, out).run();
+void run_file_semantic_rules(const FileModel& fm, bool force_all, std::vector<Finding>* out) {
+  SemanticRules(fm, force_all, out).run();
 }
 
 }  // namespace rplint
